@@ -327,15 +327,22 @@ def simulate_model(model: PiecewiseLinearModel, x0, schedule: ControlSchedule, s
 
     The piece active at time t is looked up from the model's partition scaled
     onto the schedule span proportionally by segment index: each schedule
-    segment k uses piece k (one transfer segment per piece).
+    segment k uses piece k (one transfer segment per piece).  The state and
+    every segment's control are checked against their pieces before any step.
     """
     if len(schedule.segments) != len(model.pieces):
         raise ValueError("schedule must have one segment per model piece")
     x = as_vector(x0, "x0").copy()
+    for piece, (_, _, u) in zip(model.pieces, schedule.segments):
+        if x.size != piece.n:
+            raise DimensionMismatchError(f"state dim {x.size} != piece dim {piece.n}")
+        if u.size != piece.r:
+            raise DimensionMismatchError(f"control dim {u.size} != piece input dim {piece.r}")
     all_t, all_x, all_u = [schedule.t_start], [x.copy()], [schedule.segments[0][2].copy()]
     for piece, (seg_start, seg_end, u) in zip(model.pieces, schedule.segments):
         h = step if step is not None else (seg_end - seg_start) / STEPS_PER_PIECE
-        rhs = lambda t, xx, uu, p=piece: evaluate_rhs(p, xx, uu)
+        # the control is constant on the segment, so B u is too
+        rhs = lambda t, xx, uu, A=piece.A, bu=piece.B @ u: A @ xx + bu
         seg = ControlSchedule.constant(u, seg_start, seg_end)
         traj = integrate(rhs, x, seg, h)
         x = traj.final_state

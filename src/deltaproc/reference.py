@@ -8,7 +8,9 @@ cases are specified by states rather than times.
 
 The grid/vertex searches here are deliberately independent of the
 maximum-principle solver: they enumerate candidate controls and measure first
-passage to the goal by simulation.
+passage to the goal on a time grid, with no costates.  The plant search steps
+the nonlinear plant with RK4; the model search evaluates each fitted affine
+piece with its exact flow.
 """
 
 from __future__ import annotations
@@ -18,17 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    BLOWUP_LIMIT,
     ControlBounds,
     ControlSchedule,
     PiecewiseLinearModel,
-    Trajectory,
-    evaluate_rhs,
+    as_vector,
     rk4_step,
 )
-from .errors import DivergenceError, GenerationError, InfeasibilityReport
+from .errors import DimensionMismatchError, GenerationError, InfeasibilityReport
 from .fitting import POSITIVE, TrajectoryRecord
 
 CHECKPOINT_TOL = 1e-10
+
+# Grid steps evaluated at once by the affine first-passage sweep.  A vertex
+# that never reaches its goal sweeps the whole grid (1e5 steps by default);
+# evaluating it in one array costs megabytes of peak memory for no speed.
+PASSAGE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -175,6 +182,53 @@ def _batched_grid_passage(rhs, x0, grid, goal, step, t_max):
     return best
 
 
+def _affine_flow(a, d, x0, t):
+    """Exact state of dx/dt = a x + d at time(s) ``t`` from ``x0`` at 0.
+
+    The expm1 form keeps full accuracy as a approaches 0.
+    """
+    if a == 0.0:
+        return x0 + d * t
+    return x0 + (a * x0 + d) * (np.expm1(a * t) / a)
+
+
+def _affine_first_passage(a, d, x0, goal, step, t_max):
+    """Time at which the exact flow of dx/dt = a x + d first crosses ``goal``.
+
+    The flow is evaluated on the grid of multiples of ``step`` up to
+    ``t_max``, ``PASSAGE_CHUNK`` steps at a time, and the bracketing step is
+    bisected to ``CHECKPOINT_TOL``.  Returns None when the goal is not
+    crossed, or when the state first leaves the finite region bounded by
+    ``BLOWUP_LIMIT``.
+    """
+    sign0 = np.sign(x0 - goal)
+    num_steps = int(np.ceil(t_max / step))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, num_steps, PASSAGE_CHUNK):
+            k1 = min(k0 + PASSAGE_CHUNK, num_steps)
+            t = np.minimum(np.arange(k0 + 1, k1 + 1) * step, t_max)
+            x = _affine_flow(a, d, x0, t)
+            escaped = ~(np.abs(x) <= BLOWUP_LIMIT)  # NaN and inf included
+            stops = np.flatnonzero(escaped | (np.sign(x - goal) != sign0))
+            if stops.size == 0:
+                continue
+            i = stops[0]
+            if escaped[i]:
+                return None
+            lo = float(t[i - 1]) if i > 0 else k0 * step
+            hi = float(t[i])
+            for _ in range(100):
+                if hi - lo < CHECKPOINT_TOL:
+                    break
+                mid = 0.5 * (lo + hi)
+                if np.sign(_affine_flow(a, d, x0, mid) - goal) == sign0:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+    return None
+
+
 def sample_reference(
     problem: ReferenceProblem, u_const, x_checkpoints, step=1e-4, t_max=10.0
 ) -> TrajectoryRecord:
@@ -247,10 +301,13 @@ def brute_force_min_time(
     """Grid/vertex first-passage search, independent of the PMP solver.
 
     For a :class:`ReferenceProblem`, sweeps ``levels`` constant control values
-    over the box.  For a :class:`PiecewiseLinearModel`, exhaustively tries the
-    bounds vertices on each piece, chaining transfers between the data
-    anchors.  Raises :class:`InfeasibilityReport` when the goal is never
-    reached.
+    over the box, stepping the plant with RK4.  For a scalar
+    :class:`PiecewiseLinearModel`, exhaustively tries the bounds vertices on
+    each piece, chaining transfers between the data anchors; each fitted
+    piece dx/dt = a x + B u is evaluated with its exact affine flow on the
+    same ``step`` grid.  Neither search uses costates.  Raises
+    :class:`InfeasibilityReport` when the goal is never reached, and
+    :class:`NotImplementedError` for a model with state dimension n >= 2.
     """
     if isinstance(target, ReferenceProblem):
         if levels < 101:
@@ -281,25 +338,36 @@ def brute_force_min_time(
             raise ValueError("bounds are required for a model search")
         if x_start is None:
             raise ValueError("x_start is required for a model search")
-        x_from = float(np.atleast_1d(x_start)[0])
+        for piece in target.pieces:
+            if piece.n != 1:
+                raise NotImplementedError("the vertex search is defined for scalar models")
+            if piece.r != bounds.r:
+                raise DimensionMismatchError(
+                    f"control dim {bounds.r} != piece input dim {piece.r}"
+                )
+        x_start = as_vector(x_start, "x_start")
+        if x_start.size != 1:
+            raise DimensionMismatchError(f"x_start dim {x_start.size} != model dim 1")
+        vertices = bounds.vertices()
+        x_from = float(x_start[0])
         total = 0.0
         for k, piece in enumerate(target.pieces):
             goal = float(piece.anchor[0])
-            rhs = lambda x, u, p=piece: evaluate_rhs(p, np.atleast_1d(x), u)
-            best = None
             if abs(x_from - goal) < CHECKPOINT_TOL:
                 x_from = goal
                 continue
-            for u in bounds.vertices():
-                hit = _first_passage(rhs, np.array([x_from]), u, goal, step=step, t_max=t_max)
-                if hit is not None and (best is None or hit[0] < best):
-                    best = hit[0]
-            if best is None:
+            a = float(piece.A[0, 0])
+            hits = [
+                _affine_first_passage(a, float(piece.B[0] @ u), x_from, goal, step, t_max)
+                for u in vertices
+            ]
+            hits = [t for t in hits if t is not None]
+            if not hits:
                 raise InfeasibilityReport(
                     f"piece {k}: anchor x={goal} unreached from x={x_from:g} "
                     f"under any bounds vertex"
                 )
-            total += best
+            total += min(hits)
             x_from = goal
         return total
     raise TypeError(f"unsupported search target {type(target)!r}")

@@ -9,12 +9,16 @@ from deltaproc import (
     DimensionMismatchError,
     DivergenceError,
     LinearPiece,
+    PiecewiseLinearModel,
     TimePartition,
+    Trajectory,
     evaluate_rhs,
     integrate,
     shift_coordinates,
+    simulate_model,
     unshift_coordinates,
 )
+from deltaproc import dynamics
 
 
 def make_piece(a, b, anchor, t_start=0.0, t_end=1.0):
@@ -118,6 +122,68 @@ class TestIntegrate:
         traj = integrate(lambda t, x, u: u, [0.0], schedule, step=0.1)
         assert np.any(np.isclose(traj.t, 0.33))
         assert traj.final_state[0] == pytest.approx(0.33, abs=1e-12)
+
+
+class TestSimulateModel:
+    @staticmethod
+    def model_and_schedule():
+        pieces = (
+            LinearPiece(A=[[0.5, -0.2], [0.1, -1.0]], B=[[1.0, 0.0], [0.3, 2.0]],
+                        t_start=0.0, t_end=1.0, anchor=[0.0, 0.0]),
+            LinearPiece(A=[[-1.3, 0.4], [0.0, 0.7]], B=[[0.0, -0.5], [1.0, 1.0]],
+                        t_start=1.0, t_end=2.0, anchor=[0.0, 0.0]),
+        )
+        model = PiecewiseLinearModel(pieces, TimePartition([0.0, 1.0, 2.0]))
+        schedule = ControlSchedule(((0.0, 0.37, [1.0, -1.0]), (0.37, 1.2, [-1.0, 1.0])))
+        return model, schedule
+
+    @staticmethod
+    def reference_simulation(model, x0, schedule):
+        """Piece by piece through integrate with the validating evaluate_rhs."""
+        x = np.asarray(x0, dtype=float)
+        all_t, all_x, all_u = [schedule.t_start], [x.copy()], [schedule.segments[0][2].copy()]
+        for piece, (seg_start, seg_end, u) in zip(model.pieces, schedule.segments):
+            traj = integrate(
+                lambda t, xx, uu, p=piece: evaluate_rhs(p, xx, uu),
+                x,
+                ControlSchedule.constant(u, seg_start, seg_end),
+                (seg_end - seg_start) / dynamics.STEPS_PER_PIECE,
+            )
+            x = traj.final_state
+            all_t.extend(traj.t[1:])
+            all_x.extend(traj.x[1:])
+            all_u.extend(traj.u[1:])
+        return Trajectory(np.array(all_t), np.array(all_x), np.array(all_u))
+
+    def test_equals_evaluate_rhs_integration(self):
+        model, schedule = self.model_and_schedule()
+        traj = simulate_model(model, [0.8, -0.4], schedule)
+        expected = self.reference_simulation(model, [0.8, -0.4], schedule)
+        np.testing.assert_array_equal(traj.t, expected.t)
+        np.testing.assert_array_equal(traj.x, expected.x)
+        np.testing.assert_array_equal(traj.u, expected.u)
+
+    @pytest.mark.parametrize(
+        "x0, last_u",
+        [([0.8, -0.4, 0.0], [-1.0, 1.0]), ([0.8, -0.4], [-1.0]), ([0.8], [-1.0, 1.0])],
+    )
+    def test_dimension_mismatch_before_any_step(self, monkeypatch, x0, last_u):
+        model, schedule = self.model_and_schedule()
+        (s0, e0, u0), (s1, e1, _) = schedule.segments
+        schedule = ControlSchedule(((s0, e0, u0), (s1, e1, last_u)))
+        steps = []
+        original = dynamics.rk4_step
+        monkeypatch.setattr(
+            dynamics, "rk4_step", lambda *args: steps.append(1) or original(*args)
+        )
+        with pytest.raises(DimensionMismatchError):
+            simulate_model(model, x0, schedule)
+        assert steps == []
+
+    def test_non_finite_start_rejected(self):
+        model, schedule = self.model_and_schedule()
+        with pytest.raises(ValueError):
+            simulate_model(model, [np.nan, 0.0], schedule)
 
 
 class TestDomainTypes:

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from deltaproc import (
+    ControlBounds,
     ControlSchedule,
+    DimensionMismatchError,
     DivergenceError,
     GenerationError,
     InfeasibilityReport,
+    LinearPiece,
+    PiecewiseLinearModel,
     TimePartition,
     brute_force_min_time,
     dense_reference_record,
@@ -17,7 +21,37 @@ from deltaproc import (
     solve_partition,
     write_trajectories,
 )
-from deltaproc.reference import ReferenceProblem
+from deltaproc.reference import PASSAGE_CHUNK, ReferenceProblem
+
+UNIT_BOUNDS = ControlBounds(lower=[-1.0], upper=[1.0])
+
+
+def scalar_model(*pieces):
+    """Model of scalar pieces (a, b, anchor) on unit subintervals."""
+    return PiecewiseLinearModel(
+        tuple(
+            LinearPiece(A=[[a]], B=[[b]], t_start=k, t_end=k + 1.0, anchor=[anchor])
+            for k, (a, b, anchor) in enumerate(pieces)
+        ),
+        TimePartition(np.arange(len(pieces) + 1.0)),
+    )
+
+
+def closed_form_time(a, b, x0, xf, t_max=10.0):
+    """Minimal time of dx/dt = a x + b u, a != 0, |u| <= 1, from x0 to xf, or None.
+
+    Under a constant u the state moves monotonically, so each vertex either
+    reaches xf at T = ln((a xf + d)/(a x0 + d))/a with d = b u, or never.
+    """
+    times = []
+    for u in (-1.0, 1.0):
+        d = b * u
+        ratio = (a * xf + d) / (a * x0 + d)
+        if ratio > 0.0:
+            t = np.log(ratio) / a
+            if 0.0 < t <= t_max:
+                times.append(t)
+    return min(times) if times else None
 
 
 class TestExample1:
@@ -119,6 +153,101 @@ class TestBruteForce:
     def test_grid_needs_enough_levels(self):
         with pytest.raises(ValueError):
             brute_force_min_time(example1(), levels=10)
+
+
+class TestAffineFirstPassage:
+    def test_random_scalar_pieces_match_closed_form(self):
+        rng = np.random.default_rng(20261018)
+        reached = missed = 0
+        for _ in range(300):
+            a = float(rng.uniform(-2.0, 2.0))
+            b = float(rng.uniform(0.1, 2.0)) * float(rng.choice([-1.0, 1.0]))
+            x0, xf = (float(v) for v in rng.uniform(-2.0, 2.0, size=2))
+            expected = closed_form_time(a, b, x0, xf)
+            if expected is not None and abs(expected - 10.0) < 1e-3:
+                continue  # too close to t_max to say which side it falls
+            model = scalar_model((a, b, xf))
+            if expected is None:
+                with pytest.raises(InfeasibilityReport):
+                    brute_force_min_time(model, UNIT_BOUNDS, x_start=[x0])
+                missed += 1
+            else:
+                oracle = brute_force_min_time(model, UNIT_BOUNDS, x_start=[x0])
+                assert oracle == pytest.approx(expected, rel=0.0, abs=1e-9)
+                reached += 1
+        assert reached > 100 and missed > 10
+
+    @pytest.mark.parametrize("a", [0.0, 1e-14, -1e-14])
+    def test_zero_and_tiny_drift(self, a):
+        # T = (xf - x0)/b up to a*T^2, far below the tolerance
+        model = scalar_model((a, 2.0, 0.75))
+        oracle = brute_force_min_time(model, UNIT_BOUNDS, x_start=[-0.5])
+        assert oracle == pytest.approx(0.625, rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "a, b, x0, xf",
+        [
+            (5.0, 10.0, 1.0, 0.2),  # u = +1 diverges past BLOWUP_LIMIT
+            (-1.0, 1.0, 0.0, 0.5),  # u = -1 settles at -1, away from the goal
+        ],
+    )
+    def test_one_vertex_misses(self, a, b, x0, xf):
+        oracle = brute_force_min_time(scalar_model((a, b, xf)), UNIT_BOUNDS, x_start=[x0])
+        assert oracle == pytest.approx(closed_form_time(a, b, x0, xf), rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "a, b, x0, xf",
+        [
+            (-1.0, 1.0, 0.0, 2.0),  # both equilibria, -1 and +1, lie below the goal
+            (5.0, 0.1, 1.0, 0.5),  # both vertices diverge upwards
+        ],
+    )
+    def test_all_vertices_miss(self, a, b, x0, xf):
+        with pytest.raises(InfeasibilityReport):
+            brute_force_min_time(scalar_model((a, b, xf)), UNIT_BOUNDS, x_start=[x0])
+
+    def test_passage_after_t_max(self):
+        # the last grid step ends at t_max, not at the next multiple of step
+        model = scalar_model((0.0, 1.0, 1.95))
+        with pytest.raises(InfeasibilityReport):
+            brute_force_min_time(model, UNIT_BOUNDS, x_start=[0.0], step=0.25, t_max=1.9)
+        oracle = brute_force_min_time(model, UNIT_BOUNDS, x_start=[0.0], step=0.25, t_max=2.1)
+        assert oracle == pytest.approx(1.95, rel=0.0, abs=1e-9)
+
+    def test_start_at_anchor(self):
+        # the first piece holds the state at rest, but its anchor is the start
+        model = scalar_model((-1.0, 0.0, 0.0), (0.0, 1.0, 0.5))
+        oracle = brute_force_min_time(model, UNIT_BOUNDS, x_start=[0.0])
+        assert oracle == pytest.approx(0.5, rel=0.0, abs=1e-9)
+
+    def test_crossing_in_first_step(self):
+        oracle = brute_force_min_time(scalar_model((0.0, 1.0, 3e-5)), UNIT_BOUNDS, x_start=[0.0])
+        assert oracle == pytest.approx(3e-5, rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_crossing_at_chunk_boundary(self, offset):
+        step = 1.0 / 1024.0  # binary, so the grid times are exact
+        goal = (PASSAGE_CHUNK + offset) * step
+        model = scalar_model((0.0, 1.0, goal))
+        oracle = brute_force_min_time(model, UNIT_BOUNDS, x_start=[0.0], step=step)
+        assert oracle == pytest.approx(goal, rel=0.0, abs=1e-9)
+
+    def test_vector_model_rejected(self):
+        piece = LinearPiece(
+            A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], t_start=0.0, t_end=1.0,
+            anchor=[0.0, 0.0],
+        )
+        model = PiecewiseLinearModel((piece,), TimePartition([0.0, 1.0]))
+        with pytest.raises(NotImplementedError):
+            brute_force_min_time(model, UNIT_BOUNDS, x_start=[1.0, 0.0])
+
+    def test_dimension_mismatch(self):
+        model = scalar_model((0.0, 1.0, 1.0))
+        with pytest.raises(DimensionMismatchError):
+            brute_force_min_time(model, UNIT_BOUNDS, x_start=[0.0, 0.0])
+        box = ControlBounds(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        with pytest.raises(DimensionMismatchError):
+            brute_force_min_time(model, box, x_start=[0.0])
 
 
 class TestDenseRecord:
