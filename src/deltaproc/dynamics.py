@@ -329,24 +329,35 @@ def simulate_model(model: PiecewiseLinearModel, x0, schedule: ControlSchedule, s
     onto the schedule span proportionally by segment index: each schedule
     segment k uses piece k (one transfer segment per piece).  The state and
     every segment's control are checked against their pieces before any step.
+    Each segment is stepped with RK4 on its own uniform grid from its start to
+    its end: ``STEPS_PER_PIECE`` steps, or the fewest steps no longer than
+    ``step`` when it is given.  Raises :class:`DivergenceError` when the state
+    blows up.
     """
     if len(schedule.segments) != len(model.pieces):
         raise ValueError("schedule must have one segment per model piece")
+    if step is not None and step <= 0:
+        raise ValueError("step must be positive")
     x = as_vector(x0, "x0").copy()
     for piece, (_, _, u) in zip(model.pieces, schedule.segments):
         if x.size != piece.n:
             raise DimensionMismatchError(f"state dim {x.size} != piece dim {piece.n}")
         if u.size != piece.r:
             raise DimensionMismatchError(f"control dim {u.size} != piece input dim {piece.r}")
-    all_t, all_x, all_u = [schedule.t_start], [x.copy()], [schedule.segments[0][2].copy()]
+    all_t, all_x, all_u = [[schedule.t_start]], [[x]], [[schedule.segments[0][2]]]
     for piece, (seg_start, seg_end, u) in zip(model.pieces, schedule.segments):
-        h = step if step is not None else (seg_end - seg_start) / STEPS_PER_PIECE
+        span = seg_end - seg_start
+        steps = STEPS_PER_PIECE if step is None else max(1, int(np.ceil(span / step - 1e-9)))
+        h = span / steps
         # the control is constant on the segment, so B u is too
         rhs = lambda t, xx, uu, A=piece.A, bu=piece.B @ u: A @ xx + bu
-        seg = ControlSchedule.constant(u, seg_start, seg_end)
-        traj = integrate(rhs, x, seg, h)
-        x = traj.final_state
-        all_t.extend(traj.t[1:])
-        all_x.extend(traj.x[1:])
-        all_u.extend(traj.u[1:])
-    return Trajectory(np.array(all_t), np.array(all_x), np.array(all_u))
+        times = np.linspace(seg_start, seg_end, steps + 1)
+        states = np.empty((steps, x.size))
+        for k in range(steps):
+            x = rk4_step(rhs, times[k], x, u, h)
+            _check_finite(x, times[k + 1])
+            states[k] = x
+        all_t.append(times[1:])
+        all_x.append(states)
+        all_u.append(np.tile(u, (steps, 1)))
+    return Trajectory(np.concatenate(all_t), np.concatenate(all_x), np.concatenate(all_u))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from .dynamics import ControlBounds, ControlSchedule, LinearPiece, as_vector
+from .dynamics import BLOWUP_LIMIT, ControlBounds, ControlSchedule, LinearPiece, as_vector
 from .errors import (
     DimensionMismatchError,
     InfeasibleTransferError,
@@ -26,6 +26,8 @@ from .errors import (
 
 TERMINAL_TOL = 1e-8
 ZERO_STATE_TOL = 1e-12
+# Time steps of the coarse costate-direction scan over [0, t_max].
+SCAN_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -243,19 +245,46 @@ def _sphere_directions(n, count, seed=0):
     return dirs
 
 
-def _switch_times(piece, psi0, bounds, horizon, samples=2001):
-    """Zero crossings of each component of B^T psi(t) on [0, horizon]."""
+def _affine_transition(A, dt):
+    """(Phi, G) with x(dt) = Phi x(0) + G v under dx/dt = A x + v, v constant.
+
+    Both blocks come from one augmented exponential (Van Loan, IEEE TAC 1978):
+    expm([[A dt, I dt], [0, 0]]) = [[Phi, G], [0, I]], G = int_0^dt expm(A s) ds.
+    """
+    n = A.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = A * dt
+    M[:n, n:] = np.eye(n) * dt
+    E = expm(M)
+    return E[:n, :n], E[:n, n:]
+
+
+def _costate_grid(piece, psi0, horizon, samples):
+    """psi(t_i) = expm(-A^T t_i) psi0 on ``samples`` uniform times over [0, horizon].
+
+    The grid is filled by doubling: with S_m = expm(-A^T m h), the block
+    psis[m:2m] is psis[:m] @ S_m^T, and S_2m = S_m S_m.
+    """
     ts = np.linspace(0.0, horizon, samples)
-    h = ts[1] - ts[0]
-    step_matrix = expm(-piece.A.T * h)
+    step = expm(-piece.A.T * (ts[1] - ts[0]))
+    psis = np.empty((samples, piece.n))
+    psis[0] = psi0
+    m = 1
+    while m < samples:
+        k = min(m, samples - m)
+        psis[m : m + k] = psis[:k] @ step.T
+        step = step @ step
+        m += k
+    return ts, psis
+
+
+def _switch_times(piece, psi0, horizon, samples=2001):
+    """Zero crossings of each component of B^T psi(t) on [0, horizon]."""
+    ts, psis = _costate_grid(piece, psi0, horizon, samples)
 
     def psi(t):
         return expm(-piece.A.T * float(t)) @ psi0
 
-    psis = np.empty((samples, piece.n))
-    psis[0] = psi0
-    for i in range(1, samples):
-        psis[i] = step_matrix @ psis[i - 1]
     gains = psis @ piece.B  # (samples, r)
     switches = []
     for j in range(gains.shape[1]):
@@ -274,20 +303,16 @@ def _switch_times(piece, psi0, bounds, horizon, samples=2001):
 
 
 def _propagate_segment(piece, x, u, dt):
-    """Exact state propagation under constant control via augmented expm."""
-    n, r = piece.n, piece.r
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = piece.A * dt
-    M[:n, n] = (piece.B @ u) * dt
-    phi = expm(M)
-    return phi[:n, :n] @ x + phi[:n, n]
+    """Exact state propagation under constant control."""
+    phi, gain = _affine_transition(piece.A, dt)
+    return phi @ x + gain @ (piece.B @ u)
 
 
 def _terminal_state(piece, x_from, bounds, psi0, T):
     """State at time T under the bang-bang control induced by psi0."""
     if T <= 0.0:
         return x_from, [], None
-    switches, psi = _switch_times(piece, psi0, bounds, T)
+    switches, psi = _switch_times(piece, psi0, T)
     knots = [0.0] + [s for s in switches if 0.0 < s < T] + [T]
     x = x_from.copy()
     controls = []
@@ -296,6 +321,37 @@ def _terminal_state(piece, x_from, bounds, psi0, T):
         x = _propagate_segment(piece, x, u, hi - lo)
         controls.append((lo, hi, u))
     return x, controls, psi
+
+
+def _scan_directions(piece, x_from, bounds, directions, t_max, steps):
+    """Best miss distance and its time over a coarse sweep, for every costate ray.
+
+    All rays advance together as rows of (D, n) state and costate arrays.  The
+    control is re-evaluated once per step, so a switch inside a step is only
+    located to step resolution; the polish stage fixes that.  A row that
+    leaves the finite, <= BLOWUP_LIMIT region stops updating from that step
+    on.  Rows that never take a finite step keep miss inf and time nan.
+    """
+    h = t_max / steps
+    phi, gain = _affine_transition(piece.A, h)
+    psi_step = expm(-piece.A.T * h)
+    drive = gain @ piece.B  # (n, r)
+    psis = np.array(directions, dtype=float)
+    xs = np.tile(x_from, (psis.shape[0], 1))
+    best_miss = np.full(psis.shape[0], np.inf)
+    best_t = np.full(psis.shape[0], np.nan)
+    alive = np.ones(psis.shape[0], dtype=bool)
+    for i in range(steps):
+        us = np.where(psis @ piece.B < 0.0, bounds.lower, bounds.upper)
+        xs = xs @ phi.T + us @ drive.T
+        psis = psis @ psi_step.T
+        alive &= np.all(np.abs(xs) <= BLOWUP_LIMIT, axis=1)  # False for inf and nan
+        xs[~alive] = 0.0
+        miss = np.linalg.norm(xs - piece.anchor, axis=1)
+        better = alive & (miss < best_miss)
+        best_miss[better] = miss[better]
+        best_t[better] = (i + 1) * h
+    return best_miss, best_t
 
 
 def _shooting_transfer(piece, x_from, bounds, piece_index, t_max):
@@ -308,47 +364,11 @@ def _shooting_transfer(piece, x_from, bounds, piece_index, t_max):
         )
         t_max = max(10.0 * dist / speed, 10.0 / scale, 10.0 * piece.span)
 
-    scan_steps = 400
-    h = t_max / scan_steps
-    psi_step = expm(-piece.A.T * h)
-    transition_cache = {}
-
-    def step_transition(u):
-        key = tuple(u)
-        if key not in transition_cache:
-            M = np.zeros((n + 1, n + 1))
-            M[:n, :n] = piece.A * h
-            M[:n, n] = (piece.B @ u) * h
-            phi = expm(M)
-            transition_cache[key] = (phi[:n, :n], phi[:n, n])
-        return transition_cache[key]
-
-    def scan_direction(psi0):
-        """Best miss distance over a coarse time sweep for one costate ray.
-
-        The control is re-evaluated once per scan step, so a switch inside a
-        step is only located to step resolution; the polish stage fixes that.
-        """
-        best = (np.inf, None)
-        x = x_from.copy()
-        psi_t = np.asarray(psi0, dtype=float)
-        for i in range(scan_steps):
-            u = extremal_control(piece, psi_t, bounds)
-            phi, drift = step_transition(u)
-            x = phi @ x + drift
-            psi_t = psi_step @ psi_t
-            if not np.all(np.isfinite(x)) or np.any(np.abs(x) > 1e12):
-                break
-            miss = np.linalg.norm(x - piece.anchor)
-            if miss < best[0]:
-                best = (miss, (i + 1) * h)
-        return best
-
-    candidates = []
-    for d in _sphere_directions(n, 64 * n):
-        miss, t_at = scan_direction(d)
-        if t_at is not None:
-            candidates.append((miss, t_at, d))
+    directions = _sphere_directions(n, 64 * n)
+    misses, times = _scan_directions(piece, x_from, bounds, directions, t_max, SCAN_STEPS)
+    candidates = [
+        (miss, t_at, d) for miss, t_at, d in zip(misses, times, directions) if not np.isnan(t_at)
+    ]
     candidates.sort(key=lambda c: c[0])
     best_residual = candidates[0][0] if candidates else np.inf
 
@@ -375,11 +395,10 @@ def _shooting_transfer(piece, x_from, bounds, piece_index, t_max):
         res_norm = np.linalg.norm(sol.fun)
         best_residual = min(best_residual, res_norm)
         if res_norm < TERMINAL_TOL:
-            psi0 = normalize_costate(_angles_to_direction(sol.x[:-1]))
-            # re-evaluate with the sign convention that keeps the same control
+            # unit length, with the sign the polish converged to: flipping it
+            # would flip the control
             raw = _angles_to_direction(sol.x[:-1])
-            if not np.allclose(psi0, raw):
-                psi0 = raw / np.linalg.norm(raw)
+            psi0 = raw / np.linalg.norm(raw)
             T = abs(sol.x[-1])
             xT, controls, psi = _terminal_state(piece, x_from, bounds, psi0, T)
             schedule = ControlSchedule(tuple(controls))

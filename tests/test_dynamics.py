@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,20 +140,20 @@ class TestSimulateModel:
 
     @staticmethod
     def reference_simulation(model, x0, schedule):
-        """Piece by piece through integrate with the validating evaluate_rhs."""
+        """Piece by piece with the validating evaluate_rhs, each segment on its
+        own grid of STEPS_PER_PIECE equal steps."""
         x = np.asarray(x0, dtype=float)
         all_t, all_x, all_u = [schedule.t_start], [x.copy()], [schedule.segments[0][2].copy()]
         for piece, (seg_start, seg_end, u) in zip(model.pieces, schedule.segments):
-            traj = integrate(
-                lambda t, xx, uu, p=piece: evaluate_rhs(p, xx, uu),
-                x,
-                ControlSchedule.constant(u, seg_start, seg_end),
-                (seg_end - seg_start) / dynamics.STEPS_PER_PIECE,
-            )
-            x = traj.final_state
-            all_t.extend(traj.t[1:])
-            all_x.extend(traj.x[1:])
-            all_u.extend(traj.u[1:])
+            steps = dynamics.STEPS_PER_PIECE
+            h = (seg_end - seg_start) / steps
+            times = np.linspace(seg_start, seg_end, steps + 1)
+            rhs = lambda t, xx, uu, p=piece: evaluate_rhs(p, xx, uu)
+            for k in range(steps):
+                x = dynamics.rk4_step(rhs, times[k], x, u, h)
+                all_t.append(times[k + 1])
+                all_x.append(x.copy())
+                all_u.append(u.copy())
         return Trajectory(np.array(all_t), np.array(all_x), np.array(all_u))
 
     def test_equals_evaluate_rhs_integration(self):
@@ -162,6 +163,26 @@ class TestSimulateModel:
         np.testing.assert_array_equal(traj.t, expected.t)
         np.testing.assert_array_equal(traj.x, expected.x)
         np.testing.assert_array_equal(traj.u, expected.u)
+
+    def test_each_segment_on_its_own_uniform_grid(self):
+        # (0.37, 1.2) starts off a multiple of its own step; it must still take
+        # exactly STEPS_PER_PIECE equal steps, with no sliver at its end
+        model, schedule = self.model_and_schedule()
+        x0 = np.array([0.8, -0.4])
+        traj = simulate_model(model, x0, schedule)
+        steps = dynamics.STEPS_PER_PIECE
+        assert traj.t.size == 2 * steps + 1
+        x = x0
+        for k, (piece, (seg_start, seg_end, u)) in enumerate(zip(model.pieces, schedule.segments)):
+            seg_t = traj.t[k * steps : (k + 1) * steps + 1]
+            assert seg_t[0] == seg_start and seg_t[-1] == seg_end
+            np.testing.assert_allclose(np.diff(seg_t), (seg_end - seg_start) / steps, rtol=1e-9)
+            # exact affine flow: expm([[A, B u], [0, 0]] dt) carries (x, 1)
+            M = np.zeros((3, 3))
+            M[:2, :2] = piece.A * (seg_end - seg_start)
+            M[:2, 2] = piece.B @ u * (seg_end - seg_start)
+            x = (expm(M) @ np.append(x, 1.0))[:2]
+        np.testing.assert_allclose(traj.x[-1], x, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize(
         "x0, last_u",
