@@ -3,7 +3,8 @@
 Configuration is a flat key=value file; every key can be overridden by a
 command-line flag of the same name.  Exit codes: 0 success (or converged),
 1 invalid input, 2 refinement budget exhausted before convergence,
-3 infeasible transfer.
+3 infeasible transfer, 4 solver failure (shooting missed or the state
+diverged) on valid input.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ControlBounds, TimePartition
-from .errors import DeltaProcError, InfeasibilityReport, InfeasibleTransferError
+from .errors import (
+    DeltaProcError,
+    DivergenceError,
+    InfeasibilityReport,
+    InfeasibleTransferError,
+    ShootingError,
+)
 from .fitting import POSITIVE, fit_model, ingest_trajectories
 from .procedure import (
     DeltaConfig,
@@ -34,6 +41,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_INFEASIBLE = 3
+EXIT_SOLVER_FAILURE = 4
 
 # Demo rows whose computed/reference difference exceeds this are flagged.
 DEMO_FLAG_TOL = 0.01
@@ -118,6 +126,13 @@ def _bounds(settings):
     return ControlBounds(lower=[settings["u_min"]], upper=[settings["u_max"]])
 
 
+def _partition(record, settings):
+    """The record's own sample times when they give num_pieces pieces, else uniform."""
+    if record.t.size == settings["num_pieces"] + 1:
+        return TimePartition(record.t)
+    return TimePartition.uniform(record.t_start, record.t_end, settings["num_pieces"])
+
+
 def _load_record(settings, dense):
     """Built-in reference data or the first positive record of a CSV file."""
     problem_src = settings["problem"]
@@ -200,10 +215,7 @@ def write_trace_csv(path, trace):
 
 def cmd_fit(settings):
     record = _load_record(settings, dense=False)
-    partition = TimePartition(record.t) if record.t.size == settings["num_pieces"] + 1 else (
-        TimePartition.uniform(record.t_start, record.t_end, settings["num_pieces"])
-    )
-    model = fit_model(record, partition)
+    model = fit_model(record, _partition(record, settings))
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_model_csv(out / "model.csv", model)
@@ -213,10 +225,7 @@ def cmd_fit(settings):
 
 def cmd_solve(settings):
     record = _load_record(settings, dense=False)
-    partition = TimePartition(record.t) if record.t.size == settings["num_pieces"] + 1 else (
-        TimePartition.uniform(record.t_start, record.t_end, settings["num_pieces"])
-    )
-    solution = solve_partition(record, partition, _bounds(settings))
+    solution = solve_partition(record, _partition(record, settings), _bounds(settings))
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_model_csv(out / "model.csv", solution.model)
@@ -291,6 +300,9 @@ def main(argv=None):
     except (InfeasibleTransferError, InfeasibilityReport) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (ShootingError, DivergenceError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     except (DeltaProcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -241,10 +241,6 @@ class Trajectory:
     def final_state(self):
         return self.x[-1]
 
-    def state_at(self, t):
-        """Linear interpolation of the state at time t."""
-        return np.array([np.interp(t, self.t, self.x[:, j]) for j in range(self.x.shape[1])])
-
 
 def shift_coordinates(piece: LinearPiece, x) -> np.ndarray:
     """Translate a state so the piece's anchor maps to the origin."""

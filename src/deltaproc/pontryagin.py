@@ -32,10 +32,9 @@ SCAN_STEPS = 400
 
 @dataclass(frozen=True)
 class AdjointState:
-    """A costate value at a time instant; must be nontrivial."""
+    """An initial costate value; must be nontrivial."""
 
     psi: np.ndarray
-    t: float
 
     def __post_init__(self):
         object.__setattr__(self, "psi", as_vector(self.psi, "psi"))
@@ -80,12 +79,11 @@ def normalize_costate(psi0):
     return psi
 
 
-def adjoint_solve(piece: LinearPiece, psi0, span=None):
+def adjoint_solve(piece: LinearPiece, psi0):
     """Costate flow psi(t) = expm(-A^T (t - t_start)) psi0 as a callable.
 
-    Scalar pieces use the explicit exponential.  ``span`` is accepted for
-    interface symmetry with the integrator; evaluation is analytic and valid
-    for any t.
+    Scalar pieces use the explicit exponential.  Evaluation is analytic and
+    valid for any t.
     """
     psi0 = as_vector(psi0, "psi0")
     if psi0.size != piece.n:
@@ -165,7 +163,7 @@ def min_time_transfer(
             transfer_time=0.0,
             switch_times=(),
             hamiltonian=0.0,
-            psi0=AdjointState(psi=np.eye(piece.n)[0], t=0.0),
+            psi0=AdjointState(psi=np.eye(piece.n)[0]),
         )
     if piece.n == 1:
         return _scalar_transfer(piece, x_from, bounds, piece_index)
@@ -201,7 +199,7 @@ def _scalar_transfer(piece, x_from, bounds, piece_index):
         transfer_time=t,
         switch_times=(),
         hamiltonian=h,
-        psi0=AdjointState(psi=np.array([psi0]), t=0.0),
+        psi0=AdjointState(psi=np.array([psi0])),
     )
 
 
@@ -411,7 +409,7 @@ def _shooting_transfer(piece, x_from, bounds, piece_index, t_max):
                 transfer_time=T,
                 switch_times=switch_ts,
                 hamiltonian=h,
-                psi0=AdjointState(psi=psi0, t=0.0),
+                psi0=AdjointState(psi=psi0),
             )
     raise ShootingError(
         f"costate shooting missed the target (best residual {best_residual:.3e})",

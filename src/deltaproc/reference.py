@@ -8,9 +8,13 @@ cases are specified by states rather than times.
 
 The grid/vertex searches here are deliberately independent of the
 maximum-principle solver: they enumerate candidate controls and measure first
-passage to the goal on a time grid, with no costates.  The plant search steps
-the nonlinear plant with RK4; the model search evaluates each fitted affine
-piece with its exact flow.
+passage to the goal on a time grid, with no costates.  One sweep,
+``_first_passage``, serves the checkpoint sampler, the dense sampler and both
+oracles.  It advances a batch of scalar rows under a flow: the nonlinear
+plant stepped with RK4, or a fitted affine piece's exact flow.  The plant
+oracle sweeps one row per control level, so the plant's ``rhs`` must be
+elementwise: equal-length state and control vectors in, a derivative vector
+of that length out.
 """
 
 from __future__ import annotations
@@ -32,10 +36,13 @@ from .fitting import POSITIVE, TrajectoryRecord
 
 CHECKPOINT_TOL = 1e-10
 
-# Grid steps evaluated at once by the affine first-passage sweep.  A vertex
-# that never reaches its goal sweeps the whole grid (1e5 steps by default);
-# evaluating it in one array costs megabytes of peak memory for no speed.
+# Grid states each flow fills per call of the first-passage sweep.  A row
+# that never reaches its goal sweeps the whole grid (1e5 steps by default).
+# The exact affine flow evaluates a chunk in closed form, and one array of the
+# whole grid would cost megabytes of peak memory for no speed.  The RK4 flow
+# takes one step per state, so a short block wastes few steps past a crossing.
 PASSAGE_CHUNK = 4096
+_RK4_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class ReferenceProblem:
     """A ground-truth plant with known boundary states and optional optimum."""
 
     name: str
-    rhs: callable  # rhs(x, u) -> dx/dt
+    rhs: callable  # rhs(x, u) -> dx/dt, elementwise over equal-length x and u
     bounds: ControlBounds
     x_start: np.ndarray
     x_goal: np.ndarray
@@ -94,139 +101,88 @@ BENCHMARK_CASES = {
 }
 
 
-def _first_passage(rhs, x0, u, target, step=1e-4, t_max=10.0):
-    """Time at which scalar x first crosses ``target``, or None.
+def _rk4_flow(rhs, u):
+    """Flow of dx/dt = rhs(x, u) stepped with RK4, all rows at once.
 
-    RK4 stepping with bisection inside the bracketing step; divergence before
-    passage counts as no passage.
+    Each call fills up to ``_RK4_BLOCK`` grid states, one ``rk4_step`` each.
+    ``rhs`` must be elementwise over the rows of ``x`` and ``u``.
     """
-    x = float(np.atleast_1d(x0)[0])
-    target = float(target)
-    sign0 = np.sign(x - target)
-    if sign0 == 0.0 or abs(x - target) < CHECKPOINT_TOL:
-        return 0.0, x
-    u = np.atleast_1d(u)
-    f = lambda t, xx, uu: np.atleast_1d(rhs(xx, uu))
-    t = 0.0
-    while t < t_max:
-        h = min(step, t_max - t)
-        try:
-            x_next = float(rk4_step(f, t, np.array([x]), u, h)[0])
-        except FloatingPointError:
-            return None
-        if not np.isfinite(x_next) or abs(x_next) > 1e12:
-            return None
-        if np.sign(x_next - target) != sign0:
-            lo, hi = 0.0, h
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                x_mid = float(rk4_step(f, t, np.array([x]), u, mid)[0])
-                if np.sign(x_mid - target) == sign0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < CHECKPOINT_TOL:
-                    break
-            dt = 0.5 * (lo + hi)
-            x_hit = float(rk4_step(f, t, np.array([x]), u, dt)[0])
-            return t + dt, x_hit
-        t += h
-        x = x_next
-    return None
+    f = lambda t, x, uu: np.asarray(rhs(x, uu), dtype=float)
+
+    def flow(x, h, steps):
+        xs = np.empty((x.size, min(steps, _RK4_BLOCK)))
+        for j in range(xs.shape[1]):
+            x = rk4_step(f, 0.0, x, u, h)
+            xs[:, j] = x
+        return xs
+
+    return flow
 
 
-def _batched_grid_passage(rhs, x0, grid, goal, step, t_max):
-    """First-passage sweep over all control levels at once.
+def _affine_flow(a, d):
+    """Exact flow of dx/dt = a x + d, one row per entry of ``d``.
 
-    Requires ``rhs`` to broadcast elementwise over equal-length state and
-    control vectors (raises TypeError/ValueError otherwise).  Diverged levels
-    drop out of the sweep; returns the best crossing time or None.
+    Each call fills up to ``PASSAGE_CHUNK`` grid states in closed form; the
+    expm1 form keeps full accuracy as a approaches 0.
     """
-    probe = np.asarray(rhs(np.array([x0, x0]), np.array(grid[:2])), dtype=float)
-    if probe.shape != (2,):
-        raise TypeError("rhs is not elementwise over level vectors")
-    x = np.full(grid.size, x0, dtype=float)
-    u = np.asarray(grid, dtype=float)
-    sign0 = np.sign(x0 - goal)
-    if sign0 == 0.0:
-        return 0.0
-    active = np.ones(grid.size, dtype=bool)
-    best = None
-    f = lambda t, xx, uu: np.asarray(rhs(xx, uu), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = 0.0
-        while t < t_max and active.any():
-            h = min(step, t_max - t)
-            x_next = rk4_step(f, t, x, u, h)
-            alive = np.isfinite(x_next) & (np.abs(x_next) < 1e12)
-            crossed = active & alive & (np.sign(x_next - goal) != sign0)
-            for idx in np.where(crossed)[0]:
-                hit = _first_passage(
-                    lambda xs, us: rhs(xs, us),
-                    np.array([x[idx]]),
-                    np.array([u[idx]]),
-                    goal,
-                    step=h,
-                    t_max=2.0 * h,
-                )
-                if hit is not None:
-                    t_hit = t + hit[0]
-                    if best is None or t_hit < best:
-                        best = t_hit
-            if best is not None:
-                # later levels can only cross later; the sweep is monotone in t
-                break
-            active &= alive & ~crossed
-            x = np.where(active, x_next, x)
-            t += h
-    return best
+
+    def flow(x, h, steps):
+        t = np.multiply.outer(h, np.arange(1, min(steps, PASSAGE_CHUNK) + 1))
+        x, d_col = x[:, None], d[:, None]
+        if a == 0.0:
+            return x + d_col * t
+        return x + (a * x + d_col) * (np.expm1(a * t) / a)
+
+    return flow
 
 
-def _affine_flow(a, d, x0, t):
-    """Exact state of dx/dt = a x + d at time(s) ``t`` from ``x0`` at 0.
+def _first_passage(flow, x0_rows, goal, step, t_max):
+    """Earliest time at which any scalar row first crosses ``goal``.
 
-    The expm1 form keeps full accuracy as a approaches 0.
+    ``flow(x, h, steps)`` returns the states of the rows ``x`` after 1, 2, ...
+    steps of length ``h`` (a scalar or one value per row), as a (rows, m)
+    array; the flow's block length sets m <= ``steps``.  The rows advance on
+    the grid of multiples of ``step`` up to ``t_max``, whose last point is
+    ``t_max`` itself.  A row that leaves the finite, <= ``BLOWUP_LIMIT``
+    region drops out.  The rows that cross in the earliest grid step are
+    bisected from their left grid state to ``CHECKPOINT_TOL``.  Returns
+    ``(t, x)`` at the earliest crossing, or None.
     """
-    if a == 0.0:
-        return x0 + d * t
-    return x0 + (a * x0 + d) * (np.expm1(a * t) / a)
-
-
-def _affine_first_passage(a, d, x0, goal, step, t_max):
-    """Time at which the exact flow of dx/dt = a x + d first crosses ``goal``.
-
-    The flow is evaluated on the grid of multiples of ``step`` up to
-    ``t_max``, ``PASSAGE_CHUNK`` steps at a time, and the bracketing step is
-    bisected to ``CHECKPOINT_TOL``.  Returns None when the goal is not
-    crossed, or when the state first leaves the finite region bounded by
-    ``BLOWUP_LIMIT``.
-    """
-    sign0 = np.sign(x0 - goal)
+    x = np.array(x0_rows, dtype=float)
+    at_goal = np.flatnonzero(np.abs(x - goal) < CHECKPOINT_TOL)
+    if at_goal.size:
+        return 0.0, float(x[at_goal[0]])
+    sign0 = np.sign(x - goal)
+    live = np.ones(x.size, dtype=bool)
     num_steps = int(np.ceil(t_max / step))
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, num_steps, PASSAGE_CHUNK):
-            k1 = min(k0 + PASSAGE_CHUNK, num_steps)
-            t = np.minimum(np.arange(k0 + 1, k1 + 1) * step, t_max)
-            x = _affine_flow(a, d, x0, t)
-            escaped = ~(np.abs(x) <= BLOWUP_LIMIT)  # NaN and inf included
-            stops = np.flatnonzero(escaped | (np.sign(x - goal) != sign0))
-            if stops.size == 0:
-                continue
-            i = stops[0]
-            if escaped[i]:
-                return None
-            lo = float(t[i - 1]) if i > 0 else k0 * step
-            hi = float(t[i])
-            for _ in range(100):
-                if hi - lo < CHECKPOINT_TOL:
-                    break
-                mid = 0.5 * (lo + hi)
-                if np.sign(_affine_flow(a, d, x0, mid) - goal) == sign0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-    return None
+        while k < num_steps and live.any():
+            h = step if k + 1 < num_steps else t_max - k * step
+            xs = flow(x, h, max(num_steps - 1 - k, 1))
+            escaped = ~(np.abs(xs) <= BLOWUP_LIMIT)  # NaN and inf included
+            stop = live[:, None] & (escaped | (np.sign(xs - goal) != sign0[:, None]))
+            first = stop.argmax(axis=1)
+            crossed = stop.any(axis=1) & ~escaped[np.arange(x.size), first]
+            if crossed.any():
+                break
+            live &= ~stop.any(axis=1)
+            x = xs[:, -1]
+            k += xs.shape[1]
+        else:
+            return None
+        i = first[crossed].min()
+        rows = np.flatnonzero(crossed & (first == i))
+        x_left = xs[:, i - 1] if i else x
+        lo, hi = np.zeros(x.size), np.full(x.size, h)
+        while np.any(hi - lo >= CHECKPOINT_TOL):
+            mid = 0.5 * (lo + hi)
+            short = np.sign(flow(x_left, mid, 1)[:, 0] - goal) == sign0
+            lo, hi = np.where(short, mid, lo), np.where(short, hi, mid)
+        dt = 0.5 * (lo + hi)
+        x_hit = flow(x_left, dt, 1)[:, 0]
+    j = rows[np.argmin(dt[rows])]
+    return float((k + i) * step + dt[j]), float(x_hit[j])
 
 
 def sample_reference(
@@ -241,11 +197,12 @@ def sample_reference(
     if problem.n != 1:
         raise NotImplementedError("checkpoint sampling is defined for scalar state")
     u = np.atleast_1d(np.asarray(u_const, dtype=float))
+    flow = _rk4_flow(problem.rhs, u)
     ts, xs = [], []
     t_base = 0.0
     x_cur = float(problem.x_start[0])
     for cp in x_checkpoints:
-        hit = _first_passage(problem.rhs, x_cur, u, cp, step=step, t_max=t_max - t_base)
+        hit = _first_passage(flow, [x_cur], cp, step, t_max - t_base)
         if hit is None:
             raise GenerationError(
                 f"checkpoint x={cp} unreachable from x={x_cur:g} under u={u_const}"
@@ -272,7 +229,7 @@ def dense_reference_record(
         raise NotImplementedError("dense sampling is defined for scalar state")
     u = np.atleast_1d(np.asarray(u_const, dtype=float))
     goal = float(problem.x_goal[0])
-    hit = _first_passage(problem.rhs, problem.x_start, u, goal, step=step, t_max=t_max)
+    hit = _first_passage(_rk4_flow(problem.rhs, u), problem.x_start, goal, step, t_max)
     if hit is None:
         raise GenerationError(f"goal x={goal} unreachable under u={u_const}")
     horizon, _ = hit
@@ -301,7 +258,8 @@ def brute_force_min_time(
     """Grid/vertex first-passage search, independent of the PMP solver.
 
     For a :class:`ReferenceProblem`, sweeps ``levels`` constant control values
-    over the box, stepping the plant with RK4.  For a scalar
+    over the box at once, stepping the plant with RK4; its ``rhs`` must be
+    elementwise over the levels (``TypeError`` otherwise).  For a scalar
     :class:`PiecewiseLinearModel`, exhaustively tries the bounds vertices on
     each piece, chaining transfers between the data anchors; each fitted
     piece dx/dt = a x + B u is evaluated with its exact affine flow on the
@@ -315,24 +273,22 @@ def brute_force_min_time(
         b = bounds if bounds is not None else target.bounds
         goal = float(target.x_goal[0])
         grid = np.linspace(float(b.lower[0]), float(b.upper[0]), levels)
+        x0_rows = np.full(levels, float(target.x_start[0]))
         try:
-            best = _batched_grid_passage(
-                target.rhs, float(target.x_start[0]), grid, goal, step, t_max
-            )
+            elementwise = np.shape(target.rhs(x0_rows, grid)) == (levels,)
         except (TypeError, ValueError):
-            # rhs does not broadcast over a level vector; sweep one at a time
-            best = None
-            for u_val in grid:
-                hit = _first_passage(
-                    target.rhs, target.x_start, np.array([u_val]), goal, step=step, t_max=t_max
-                )
-                if hit is not None and (best is None or hit[0] < best):
-                    best = hit[0]
-        if best is None:
+            elementwise = False
+        if not elementwise:
+            raise TypeError(
+                f"the grid search needs an elementwise rhs that maps ({levels},) "
+                f"states and controls to ({levels},) derivatives"
+            )
+        hit = _first_passage(_rk4_flow(target.rhs, grid), x0_rows, goal, step, t_max)
+        if hit is None:
             raise InfeasibilityReport(
                 f"goal x={goal} unreached for any of {levels} constant controls"
             )
-        return best
+        return hit[0]
     if isinstance(target, PiecewiseLinearModel):
         if bounds is None:
             raise ValueError("bounds are required for a model search")
@@ -348,26 +304,19 @@ def brute_force_min_time(
         x_start = as_vector(x_start, "x_start")
         if x_start.size != 1:
             raise DimensionMismatchError(f"x_start dim {x_start.size} != model dim 1")
-        vertices = bounds.vertices()
+        vertices = np.array(bounds.vertices())
         x_from = float(x_start[0])
         total = 0.0
         for k, piece in enumerate(target.pieces):
             goal = float(piece.anchor[0])
-            if abs(x_from - goal) < CHECKPOINT_TOL:
-                x_from = goal
-                continue
-            a = float(piece.A[0, 0])
-            hits = [
-                _affine_first_passage(a, float(piece.B[0] @ u), x_from, goal, step, t_max)
-                for u in vertices
-            ]
-            hits = [t for t in hits if t is not None]
-            if not hits:
+            flow = _affine_flow(float(piece.A[0, 0]), vertices @ piece.B[0])
+            hit = _first_passage(flow, np.full(len(vertices), x_from), goal, step, t_max)
+            if hit is None:
                 raise InfeasibilityReport(
                     f"piece {k}: anchor x={goal} unreached from x={x_from:g} "
                     f"under any bounds vertex"
                 )
-            total += min(hits)
+            total += hit[0]
             x_from = goal
         return total
     raise TypeError(f"unsupported search target {type(target)!r}")

@@ -3,12 +3,13 @@ import csv
 import numpy as np
 import pytest
 
-from deltaproc import ControlSchedule, simulate_model
+from deltaproc import ControlSchedule, ShootingError, simulate_model
 from deltaproc.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVALID,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    EXIT_SOLVER_FAILURE,
     main,
 )
 
@@ -184,3 +185,15 @@ class TestConfig:
         cfg.write_text("bogus=1\n")
         code = main(["--config", str(cfg), "fit"])
         assert code == EXIT_INVALID
+
+
+class TestSolverFailure:
+    def test_shooting_error_exits_solver_failure(self, tmp_path, monkeypatch, capsys):
+        # the input is valid; the solver failing on it is not "invalid input"
+        def miss(*args, **kwargs):
+            raise ShootingError("costate shooting missed the target", best_residual=0.1)
+
+        monkeypatch.setattr("deltaproc.procedure.min_time_transfer", miss)
+        code = main(["solve", "--problem", "example1", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER_FAILURE == 4
+        assert "solver failure" in capsys.readouterr().err

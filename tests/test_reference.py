@@ -22,6 +22,7 @@ from deltaproc import (
     write_trajectories,
 )
 from deltaproc.reference import PASSAGE_CHUNK, ReferenceProblem
+from deltaproc.reference import _RK4_BLOCK, BENCHMARK_CASES
 
 UNIT_BOUNDS = ControlBounds(lower=[-1.0], upper=[1.0])
 
@@ -257,3 +258,97 @@ class TestDenseRecord:
         assert record.t[-1] == pytest.approx(np.pi / 4.0, abs=1e-4)
         assert record.x[0, 0] == pytest.approx(0.0, abs=1e-6)
         assert record.x[-1, 0] == pytest.approx(1.0, abs=1e-4)
+
+
+
+def rk4_checkpoints(u, checkpoints, step=1e-4):
+    """Checkpoint times and states of example 1 by a per-step scalar RK4 loop.
+
+    The state rises, so a step crosses the goal when it ends at or above it.
+    Each crossing is bisected to 1e-10 from the state at the left end of its
+    step, and the next checkpoint is searched from the state found.
+    """
+
+    def rk4(x, h):
+        f = lambda y: y * y + u * u
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    x, t, ts, xs = 0.0, 0.0, [], []
+    for goal in checkpoints:
+        if abs(x - goal) >= 1e-10:
+            k, x_next = 0, rk4(x, step)
+            while x_next < goal:
+                k, x, x_next = k + 1, x_next, rk4(x_next, step)
+            lo, hi = 0.0, step
+            while hi - lo >= 1e-10:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if rk4(x, mid) < goal else (lo, mid)
+            t += k * step + 0.5 * (lo + hi)
+            x = rk4(x, 0.5 * (lo + hi))
+        ts.append(t)
+        xs.append(x)
+    return np.array(ts), np.array(xs)
+
+
+class TestFirstPassageSweep:
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CASES))
+    def test_benchmark_cases_match_per_step_rk4(self, name):
+        case = BENCHMARK_CASES[name]
+        record = sample_reference(example1(), case.u_data, case.checkpoints)
+        ts, xs = rk4_checkpoints(case.u_data, case.checkpoints)
+        np.testing.assert_allclose(record.t, ts, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(record.x[:, 0], xs, rtol=0.0, atol=1e-12)
+
+    def test_fast_levels_escape_before_the_earliest_crossing(self):
+        # dx/dt = u x^2 from x = 1: x = 1/(1 - u t).  Each u > 0 blows up at
+        # t = 1/u, so u = 4 leaves the finite region at t = 0.25; each u < 0
+        # reaches 0.5 at t = 1/|u|, and u = -1 first, at t = 1.
+        problem = ReferenceProblem(
+            name="blow-up",
+            rhs=lambda x, u: np.atleast_1d(u) * np.atleast_1d(x) ** 2,
+            bounds=ControlBounds(lower=[-1.0], upper=[4.0]),
+            x_start=np.array([1.0]),
+            x_goal=np.array([0.5]),
+        )
+        best = brute_force_min_time(problem, step=1e-3, t_max=2.0)
+        assert best == pytest.approx(1.0, rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_rk4_crossing_at_block_boundary(self, offset):
+        step = 1.0 / 1024.0  # binary, so the grid states are exact
+        goal = (_RK4_BLOCK + offset) * step
+        problem = ReferenceProblem(  # dx/dt = u, on which RK4 is exact
+            name="speed",
+            rhs=lambda x, u: 0.0 * np.atleast_1d(x) + np.atleast_1d(u),
+            bounds=UNIT_BOUNDS,
+            x_start=np.array([0.0]),
+            x_goal=np.array([goal]),
+        )
+        record = sample_reference(problem, 1.0, (0.0, goal), step=step)
+        assert record.t[-1] == pytest.approx(goal, rel=0.0, abs=1e-9)
+        # with 1001 levels, u = 1 and the next few levels cross in one step
+        assert brute_force_min_time(problem, levels=1001, step=step) == pytest.approx(
+            goal, rel=0.0, abs=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            lambda x, u: np.array([x[0] ** 2 + u[0] ** 2]),  # one row only
+            lambda x, u: x**2 + u**2 if x > 0 else u**2,  # truth value of an array
+        ],
+    )
+    def test_non_elementwise_rhs_rejected(self, rhs):
+        problem = ReferenceProblem(
+            name="scalar-only",
+            rhs=rhs,
+            bounds=UNIT_BOUNDS,
+            x_start=np.array([0.0]),
+            x_goal=np.array([1.0]),
+        )
+        with pytest.raises(TypeError, match="elementwise"):
+            brute_force_min_time(problem)
