@@ -163,13 +163,6 @@ class PiecewiseLinearModel:
     def n(self):
         return self.pieces[0].n
 
-    def piece_at(self, t):
-        """Piece active at time t (right-open subintervals, last is closed)."""
-        knots = self.partition.knots
-        idx = int(np.searchsorted(knots, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.pieces) - 1)
-        return self.pieces[idx]
-
 
 @dataclass(frozen=True)
 class ControlSchedule:

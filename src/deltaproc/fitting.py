@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from itertools import chain, compress, count, repeat
 
 import numpy as np
 
@@ -122,16 +123,14 @@ def estimate_derivatives(record: TrajectoryRecord) -> TrajectoryRecord:
 
 def _diff_nonuniform(t, y):
     """Second-order differentiation on a possibly non-uniform grid."""
-    m = t.size
-    dy = np.empty(m)
-    for i in range(1, m - 1):
-        h1 = t[i] - t[i - 1]
-        h2 = t[i + 1] - t[i]
-        dy[i] = (
-            -h2 / (h1 * (h1 + h2)) * y[i - 1]
-            + (h2 - h1) / (h1 * h2) * y[i]
-            + h1 / (h2 * (h1 + h2)) * y[i + 1]
-        )
+    dy = np.empty(t.size)
+    h1 = t[1:-1] - t[:-2]
+    h2 = t[2:] - t[1:-1]
+    dy[1:-1] = (
+        -h2 / (h1 * (h1 + h2)) * y[:-2]
+        + (h2 - h1) / (h1 * h2) * y[1:-1]
+        + h1 / (h2 * (h1 + h2)) * y[2:]
+    )
     h1 = t[1] - t[0]
     h2 = t[2] - t[1]
     dy[0] = (
@@ -256,72 +255,128 @@ def _fit_subinterval(rec: TrajectoryRecord, t_l, t_r):
 def ingest_trajectories(path):
     """Parse the trajectory CSV format into a list of TrajectoryRecord.
 
-    Header: ``traj_id,label,t,x0..x{n-1},u0..u{r-1}[,dx0..dx{n-1}]``.
-    Lines starting with ``#`` are ignored.  Malformed rows raise
-    :class:`TrajectoryParseError` with their line number.
+    Header: ``traj_id,label,t,x0..x{n-1},u0..u{r-1}[,dx0..dx{n-1}]``.  Each
+    physical line is one row, read as CSV on its own with every field
+    stripped; blank lines and lines starting with ``#`` are skipped.  Records
+    come in the order their ``traj_id`` first appears, each sorted by ``t``.
+    The first malformed row, or the first row that repeats an earlier sample
+    time of its record, raises :class:`TrajectoryParseError` with its line
+    number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         raw = fh.readlines()
-    header = None
-    header_line = None
-    rows = []
-    for lineno, line in enumerate(raw, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = next(csv.reader([line]))
-        fields = [f.strip() for f in fields]
-        if header is None:
-            header = fields
-            header_line = lineno
-            continue
-        rows.append((lineno, fields))
-    if header is None:
+    keep = [s[:1] not in ("", "#") for s in map(str.strip, raw)]
+    lines = list(compress(raw, keep))
+    linenos = list(compress(count(1), keep))
+    if not lines:
         raise TrajectoryParseError(f"{path}: no header found", line=None)
-    n, r, has_dx = _parse_header(header, header_line, path)
-    expected_cols = 3 + n + r + (n if has_dx else 0)
-    grouped = {}
-    for lineno, fields in rows:
-        if len(fields) != expected_cols:
+    header = [f.strip() for f in next(csv.reader(lines[:1]))]
+    n, r, has_dx = _parse_header(header, linenos[0], path)
+    ncols = 3 + n + r + (n if has_dx else 0)
+    lines, linenos = lines[1:], linenos[1:]
+    if not lines:
+        return []
+    columns = _columns(lines, ncols)
+    if columns is None:
+        raise _first_row_error(path, lines, linenos, ncols)
+    ids, labels, values = columns
+    label_of = dict(zip(ids, labels))
+    # rows grouped by id in first-appearance order, each group sorted by t;
+    # lexsort is stable, so rows with equal keys keep their file order
+    code_of = {traj_id: k for k, traj_id in enumerate(label_of)}
+    codes = np.fromiter(map(code_of.__getitem__, ids), dtype=np.intp, count=len(ids))
+    order = np.lexsort((values[0], codes))
+    groups = np.split(order, np.cumsum(np.bincount(codes))[:-1])
+    records = []
+    for traj_id, rows in zip(code_of, groups):
+        t = values[0, rows]
+        repeats = rows[1:][t[1:] == t[:-1]]
+        if repeats.size:
+            first = int(repeats.min())
             raise TrajectoryParseError(
-                f"{path}:{lineno}: expected {expected_cols} columns, got {len(fields)}",
-                line=lineno,
+                f"{path}:{linenos[first]}: id {traj_id!r} repeats sample time "
+                f"{float(values[0, first])!r}",
+                line=linenos[first],
+            )
+        records.append(
+            TrajectoryRecord(
+                id=traj_id,
+                label=label_of[traj_id],
+                t=t,
+                x=np.ascontiguousarray(values[1 : 1 + n, rows].T),
+                u=np.ascontiguousarray(values[1 + n : 1 + n + r, rows].T),
+                dx=np.ascontiguousarray(values[1 + n + r :, rows].T) if has_dx else None,
+            )
+        )
+    return records
+
+
+def _rows(lines):
+    """The CSV fields of each line, every line read on its own."""
+    try:
+        rows = list(csv.reader(lines))
+    except csv.Error:
+        rows = []
+    if len(rows) == len(lines):
+        return rows
+    # a quote left open at the end of a line ran on into the next lines
+    return [next(csv.reader([line])) for line in lines]
+
+
+def _columns(lines, ncols):
+    """Stripped ids and labels and a (ncols - 2, rows) array of the numbers.
+
+    None when any row is malformed; :func:`_first_row_error` then names it.
+    """
+    text = ",".join(lines)
+    if '"' in text:
+        rows = _rows(lines)
+        counts = set(map(len, rows))
+        fields = list(chain.from_iterable(rows))
+    else:
+        # without quotes, CSV fields are exactly the text between commas
+        counts = {c + 1 for c in set(map(str.count, lines, repeat(",")))}
+        fields = text.split(",")
+    if counts != {ncols}:
+        return None
+    ids = list(map(str.strip, fields[0::ncols]))
+    labels = list(map(str.strip, fields[1::ncols]))
+    if not {POSITIVE, NEGATIVE}.issuperset(labels):
+        return None
+    if len(set(zip(ids, labels))) != len(set(ids)):
+        return None
+    try:
+        values = np.array([list(map(float, fields[j::ncols])) for j in range(2, ncols)])
+    except ValueError:
+        return None
+    return ids, labels, values
+
+
+def _first_row_error(path, lines, linenos, ncols):
+    """The TrajectoryParseError of the first malformed row, read row by row."""
+    first_label = {}
+    for lineno, fields in zip(linenos, _rows(lines)):
+        fields = [f.strip() for f in fields]
+        where = f"{path}:{lineno}"
+        if len(fields) != ncols:
+            return TrajectoryParseError(
+                f"{where}: expected {ncols} columns, got {len(fields)}", line=lineno
             )
         traj_id, label = fields[0], fields[1]
         if label not in (POSITIVE, NEGATIVE):
-            raise TrajectoryParseError(
-                f"{path}:{lineno}: label must be positive/negative, got {label!r}",
-                line=lineno,
+            return TrajectoryParseError(
+                f"{where}: label must be positive/negative, got {label!r}", line=lineno
             )
         try:
-            nums = [float(v) for v in fields[2:]]
+            for v in fields[2:]:
+                float(v)
         except ValueError as exc:
-            raise TrajectoryParseError(f"{path}:{lineno}: {exc}", line=lineno) from None
-        t = nums[0]
-        x = nums[1 : 1 + n]
-        u = nums[1 + n : 1 + n + r]
-        dx = nums[1 + n + r :] if has_dx else None
-        grouped.setdefault(traj_id, {"label": label, "rows": []})
-        if grouped[traj_id]["label"] != label:
-            raise TrajectoryParseError(
-                f"{path}:{lineno}: id {traj_id!r} has conflicting labels", line=lineno
+            return TrajectoryParseError(f"{where}: {exc}", line=lineno)
+        if first_label.setdefault(traj_id, label) != label:
+            return TrajectoryParseError(
+                f"{where}: id {traj_id!r} has conflicting labels", line=lineno
             )
-        grouped[traj_id]["rows"].append((t, x, u, dx))
-    records = []
-    for traj_id, info in grouped.items():
-        info["rows"].sort(key=lambda row: row[0])
-        ts = np.array([row[0] for row in info["rows"]])
-        xs = np.array([row[1] for row in info["rows"]])
-        us = np.array([row[2] for row in info["rows"]])
-        dxs = (
-            np.array([row[3] for row in info["rows"]])
-            if has_dx
-            else None
-        )
-        records.append(
-            TrajectoryRecord(id=traj_id, label=info["label"], t=ts, x=xs, u=us, dx=dxs)
-        )
-    return records
+    return None
 
 
 def _parse_header(header, lineno, path):

@@ -64,21 +64,6 @@ class PieceSolution:
         return self.u_schedule is None
 
 
-def normalize_costate(psi0):
-    """Unit norm with the first nonzero component positive."""
-    psi0 = as_vector(psi0, "psi0")
-    norm = np.linalg.norm(psi0)
-    if norm == 0.0:
-        raise TrivialCostateError("costate must be nonzero")
-    psi = psi0 / norm
-    for v in psi:
-        if v != 0.0:
-            if v < 0.0:
-                psi = -psi
-            break
-    return psi
-
-
 def adjoint_solve(piece: LinearPiece, psi0):
     """Costate flow psi(t) = expm(-A^T (t - t_start)) psi0 as a callable.
 

@@ -42,6 +42,19 @@ class TestFit:
         code = main(["fit", "--problem", str(tmp_path / "missing.csv")])
         assert code == EXIT_INVALID
 
+    def test_repeated_sample_time_names_file_and_id(self, tmp_path, capsys):
+        data = tmp_path / "repeat.csv"
+        data.write_text(
+            "traj_id,label,t,x0,u0\n"
+            "a,positive,0.0,0.0,0.5\n"
+            "a,positive,0.5,0.2,0.5\n"
+            "a,positive,0.5,0.3,0.5\n"
+            "a,positive,1.0,0.5,0.5\n"
+        )
+        code = main(["delta", "--problem", str(data), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert f"{data}:4: id 'a' repeats sample time 0.5" in capsys.readouterr().err
+
     def test_single_piece_linear_csv(self, tmp_path):
         data = tmp_path / "lin.csv"
         lines = ["traj_id,label,t,x0,u0,dx0"]

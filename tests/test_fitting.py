@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deltaproc import (
@@ -18,6 +20,7 @@ from deltaproc import (
     ingest_trajectories,
     write_trajectories,
 )
+from deltaproc.fitting import NEGATIVE, POSITIVE, _parse_header
 
 
 def scalar_record(t, x, u, dx=None, label="positive", rec_id="r"):
@@ -30,6 +33,35 @@ def scalar_record(t, x, u, dx=None, label="positive", rec_id="r"):
         u=np.asarray(u, dtype=float).reshape(-1, 1),
         dx=None if dx is None else np.asarray(dx, dtype=float).reshape(-1, 1),
     )
+
+
+def loop_diff_nonuniform(t, y):
+    """One sample at a time, the same expressions as the vectorised estimator."""
+    m = t.size
+    dy = np.empty(m)
+    for i in range(1, m - 1):
+        h1 = t[i] - t[i - 1]
+        h2 = t[i + 1] - t[i]
+        dy[i] = (
+            -h2 / (h1 * (h1 + h2)) * y[i - 1]
+            + (h2 - h1) / (h1 * h2) * y[i]
+            + h1 / (h2 * (h1 + h2)) * y[i + 1]
+        )
+    h1 = t[1] - t[0]
+    h2 = t[2] - t[1]
+    dy[0] = (
+        -(2 * h1 + h2) / (h1 * (h1 + h2)) * y[0]
+        + (h1 + h2) / (h1 * h2) * y[1]
+        - h1 / (h2 * (h1 + h2)) * y[2]
+    )
+    h1 = t[-2] - t[-3]
+    h2 = t[-1] - t[-2]
+    dy[-1] = (
+        h2 / (h1 * (h1 + h2)) * y[-3]
+        - (h1 + h2) / (h1 * h2) * y[-2]
+        + (h1 + 2 * h2) / (h2 * (h1 + h2)) * y[-1]
+    )
+    return dy
 
 
 class TestEstimateDerivatives:
@@ -55,6 +87,16 @@ class TestEstimateDerivatives:
         rec = scalar_record([0.0, 0.1], [0.0, 0.1], [1.0, 1.0])
         with pytest.raises(ValueError):
             estimate_derivatives(rec)
+
+    @pytest.mark.parametrize("m", [3, 4, 17, 8001])
+    def test_equals_per_sample_loop(self, m):
+        rng = np.random.default_rng(m)
+        t = np.cumsum(rng.uniform(0.1, 2.0, size=m))
+        x = rng.normal(size=(m, 2))
+        rec = TrajectoryRecord(id="r", label="positive", t=t, x=x, u=np.ones((m, 1)))
+        dx = estimate_derivatives(rec).dx
+        for j in range(2):
+            np.testing.assert_array_equal(dx[:, j], loop_diff_nonuniform(t, x[:, j]))
 
     def test_existing_derivatives_untouched(self):
         rec = scalar_record([0, 0.1, 0.2], [0, 1, 4], [1] * 3, dx=[7, 7, 7])
@@ -209,7 +251,210 @@ class TestFitModel:
             np.testing.assert_allclose(p1.B, p2.B, atol=1e-12)
 
 
+
+def reference_ingest(path):
+    """Line-by-line trajectory CSV parser: each line through its own csv.reader."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        raw = fh.readlines()
+    header = None
+    header_line = None
+    rows = []
+    for lineno, line in enumerate(raw, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = [f.strip() for f in next(csv.reader([line]))]
+        if header is None:
+            header, header_line = fields, lineno
+            continue
+        rows.append((lineno, fields))
+    if header is None:
+        raise TrajectoryParseError(f"{path}: no header found", line=None)
+    n, r, has_dx = _parse_header(header, header_line, path)
+    expected_cols = 3 + n + r + (n if has_dx else 0)
+    grouped = {}
+    for lineno, fields in rows:
+        if len(fields) != expected_cols:
+            raise TrajectoryParseError(
+                f"{path}:{lineno}: expected {expected_cols} columns, got {len(fields)}",
+                line=lineno,
+            )
+        traj_id, label = fields[0], fields[1]
+        if label not in (POSITIVE, NEGATIVE):
+            raise TrajectoryParseError(
+                f"{path}:{lineno}: label must be positive/negative, got {label!r}",
+                line=lineno,
+            )
+        try:
+            nums = [float(v) for v in fields[2:]]
+        except ValueError as exc:
+            raise TrajectoryParseError(f"{path}:{lineno}: {exc}", line=lineno) from None
+        row = (nums[0], nums[1 : 1 + n], nums[1 + n : 1 + n + r], nums[1 + n + r :])
+        grouped.setdefault(traj_id, {"label": label, "rows": []})
+        if grouped[traj_id]["label"] != label:
+            raise TrajectoryParseError(
+                f"{path}:{lineno}: id {traj_id!r} has conflicting labels", line=lineno
+            )
+        grouped[traj_id]["rows"].append(row)
+    records = []
+    for traj_id, info in grouped.items():
+        info["rows"].sort(key=lambda row: row[0])
+        columns = [np.array([row[k] for row in info["rows"]]) for k in range(4)]
+        records.append(
+            TrajectoryRecord(
+                id=traj_id,
+                label=info["label"],
+                t=columns[0],
+                x=columns[1],
+                u=columns[2],
+                dx=columns[3] if has_dx else None,
+            )
+        )
+    return records
+
+
+def assert_same_records(got, want):
+    assert [(r.id, r.label) for r in got] == [(r.id, r.label) for r in want]
+    for a, b in zip(got, want):
+        names = ("t", "x", "u") if b.dx is None else ("t", "x", "u", "dx")
+        for name in names:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), strict=True)
+            assert getattr(a, name).flags.c_contiguous
+        if b.dx is None:
+            assert a.dx is None
+
+
+def assert_same_error(path):
+    with pytest.raises(Exception) as want:
+        reference_ingest(path)
+    with pytest.raises(Exception) as got:
+        ingest_trajectories(path)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert got.value.line == want.value.line
+    return got.value
+
+
+QUOTED_IDS = {"a": "a", "b": " b ", "c,d": '"c,d"', 'say "hi"': '"say ""hi"""'}
+PADDING = st.sampled_from(["", " ", "\t", "  "])
+NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**6), 10**6).map("{:_d}".format),
+)
+SKIPPED = st.sampled_from(["", "   ", "# comment", "  # indented, with, commas", "#"])
+
+
+@st.composite
+def trajectory_csv(draw):
+    """Valid CSV text in every layout the format allows."""
+    n, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    has_dx = draw(st.booleans())
+    columns = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(r)]
+    columns += [f"dx{i}" for i in range(n)] if has_dx else []
+    ids = draw(st.lists(st.sampled_from(sorted(QUOTED_IDS)), min_size=1, max_size=3, unique=True))
+    rows = []
+    for traj_id in ids:
+        label = draw(st.sampled_from([POSITIVE, NEGATIVE]))
+        times = draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=6, unique=True))
+        for t in times:
+            fields = [QUOTED_IDS[traj_id], label, repr(t)]
+            fields += draw(st.lists(NUMBER, min_size=len(columns), max_size=len(columns)))
+            fields = [
+                f if f.startswith('"') else draw(PADDING) + f + draw(PADDING) for f in fields
+            ]
+            rows.append(",".join(fields))
+    lines = ["traj_id,label,t," + ",".join(columns)] + draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(SKIPPED))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+BASE_LINES = [
+    "# trajectories of one scalar plant",
+    "traj_id,label,t,x0,u0",
+    "a,positive,0.0,0.0,0.5",
+    "b,negative,0.0,1.0,0.5",
+    "a,positive,1.0,0.5,0.5",
+    "",
+    "b,negative,1.0,1.5,0.5",
+    "a,positive,2.0,1.0,0.5",
+    "b,negative,2.0,2.0,0.5",
+    "a,positive,3.0,1.5,0.5",
+]
+BAD_ROWS = {
+    "column_count": "a,positive,4.0,2.0",
+    "label": "a,maybe,4.0,2.0,0.5",
+    "float": "a,positive,4.0,oops,0.5",
+    "conflicting_label": "a,negative,4.0,2.0,0.5",
+    "unterminated_quote": 'a,positive,"4.0,2.0,0.5',
+}
+
+
 class TestIngest:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(text=trajectory_csv())
+    def test_equals_line_by_line_parser(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_records(ingest_trajectories(path), reference_ingest(path))
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# nothing recorded yet\n\ntraj_id,label,t,x0,x1,u0,dx0,dx1\n")
+        assert ingest_trajectories(path) == []
+
+    def test_no_header(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n# only comments\n")
+        assert assert_same_error(path).line is None
+
+    def test_open_quote_in_last_field_ends_with_its_line(self, tmp_path):
+        path = tmp_path / "quote.csv"
+        lines = BASE_LINES + ['a,positive,4.0,2.0,"0.5', "a,positive,5.0,2.5,0.5"]
+        path.write_text("\n".join(lines) + "\n")
+        got = ingest_trajectories(path)
+        assert_same_records(got, reference_ingest(path))
+        np.testing.assert_array_equal(got[0].t, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_open_quote_does_not_swallow_a_long_file(self, tmp_path):
+        # the rest of the file would exceed the csv module's field size limit
+        path = tmp_path / "long.csv"
+        rows = [f"a,positive,{k}.0,{k}.5,0.5" for k in range(8000)]
+        rows[3] = 'a,positive,"3.0,3.5,0.5'
+        path.write_text("traj_id,label,t,x0,u0\n" + "\n".join(rows) + "\n")
+        assert assert_same_error(path).line == 5
+
+    @pytest.mark.parametrize("second", [None, *BAD_ROWS])
+    @pytest.mark.parametrize("first", list(BAD_ROWS))
+    def test_first_bad_line_named(self, tmp_path, first, second):
+        lines = BASE_LINES[:5] + [BAD_ROWS[first]] + BASE_LINES[5:8]
+        if second is not None:
+            lines.insert(8, BAD_ROWS[second])
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        error = assert_same_error(path)
+        assert isinstance(error, TrajectoryParseError)
+        assert error.line == 6
+
+    def test_repeated_sample_time(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text(
+            "traj_id,label,t,x0,u0\n"
+            "a,positive,0.0,0.0,0.5\n"
+            "b,positive,1.0,0.5,0.5\n"
+            "a,positive,1.0,0.5,0.5\n"
+            "b,positive,0.0,0.0,0.5\n"
+            "b,positive,1.0,0.7,0.5\n"
+            "b,positive,0.0,0.1,0.5\n"
+        )
+        with pytest.raises(TrajectoryParseError) as info:
+            ingest_trajectories(path)
+        assert info.value.line == 6
+        message = str(info.value)
+        assert str(path) in message and "'b'" in message and "1.0" in message
+
     def test_round_trip(self, tmp_path):
         rec = scalar_record(
             [0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [0.5] * 3, dx=[0.25, 0.5, 1.25], rec_id="a"
@@ -263,3 +508,4 @@ class TestIngest:
         path.write_text("time,x,u\n0,0,0\n")
         with pytest.raises(TrajectoryParseError):
             ingest_trajectories(path)
+
