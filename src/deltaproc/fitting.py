@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count
 
 import numpy as np
 
@@ -276,9 +276,10 @@ def ingest_trajectories(path):
     lines, linenos = lines[1:], linenos[1:]
     if not lines:
         return []
-    columns = _columns(lines, ncols)
+    rows = _rows(lines)
+    columns = _columns(rows, ncols)
     if columns is None:
-        raise _first_row_error(path, lines, linenos, ncols)
+        raise _first_row_error(path, rows, linenos, ncols)
     ids, labels, values = columns
     label_of = dict(zip(ids, labels))
     # rows grouped by id in first-appearance order, each group sorted by t;
@@ -286,26 +287,26 @@ def ingest_trajectories(path):
     code_of = {traj_id: k for k, traj_id in enumerate(label_of)}
     codes = np.fromiter(map(code_of.__getitem__, ids), dtype=np.intp, count=len(ids))
     order = np.lexsort((values[0], codes))
+    later = order[1:]
+    same = (codes[later] == codes[order[:-1]]) & (values[0, later] == values[0, order[:-1]])
+    if same.any():
+        first = int(later[same].min())
+        raise TrajectoryParseError(
+            f"{path}:{linenos[first]}: id {ids[first]!r} repeats sample time "
+            f"{float(values[0, first])!r}",
+            line=linenos[first],
+        )
     groups = np.split(order, np.cumsum(np.bincount(codes))[:-1])
     records = []
-    for traj_id, rows in zip(code_of, groups):
-        t = values[0, rows]
-        repeats = rows[1:][t[1:] == t[:-1]]
-        if repeats.size:
-            first = int(repeats.min())
-            raise TrajectoryParseError(
-                f"{path}:{linenos[first]}: id {traj_id!r} repeats sample time "
-                f"{float(values[0, first])!r}",
-                line=linenos[first],
-            )
+    for traj_id, group in zip(code_of, groups):
         records.append(
             TrajectoryRecord(
                 id=traj_id,
                 label=label_of[traj_id],
-                t=t,
-                x=np.ascontiguousarray(values[1 : 1 + n, rows].T),
-                u=np.ascontiguousarray(values[1 + n : 1 + n + r, rows].T),
-                dx=np.ascontiguousarray(values[1 + n + r :, rows].T) if has_dx else None,
+                t=values[0, group],
+                x=np.ascontiguousarray(values[1 : 1 + n, group].T),
+                u=np.ascontiguousarray(values[1 + n : 1 + n + r, group].T),
+                dx=np.ascontiguousarray(values[1 + n + r :, group].T) if has_dx else None,
             )
         )
     return records
@@ -323,22 +324,14 @@ def _rows(lines):
     return [next(csv.reader([line])) for line in lines]
 
 
-def _columns(lines, ncols):
+def _columns(rows, ncols):
     """Stripped ids and labels and a (ncols - 2, rows) array of the numbers.
 
     None when any row is malformed; :func:`_first_row_error` then names it.
     """
-    text = ",".join(lines)
-    if '"' in text:
-        rows = _rows(lines)
-        counts = set(map(len, rows))
-        fields = list(chain.from_iterable(rows))
-    else:
-        # without quotes, CSV fields are exactly the text between commas
-        counts = {c + 1 for c in set(map(str.count, lines, repeat(",")))}
-        fields = text.split(",")
-    if counts != {ncols}:
+    if set(map(len, rows)) != {ncols}:
         return None
+    fields = list(chain.from_iterable(rows))
     ids = list(map(str.strip, fields[0::ncols]))
     labels = list(map(str.strip, fields[1::ncols]))
     if not {POSITIVE, NEGATIVE}.issuperset(labels):
@@ -352,10 +345,10 @@ def _columns(lines, ncols):
     return ids, labels, values
 
 
-def _first_row_error(path, lines, linenos, ncols):
+def _first_row_error(path, rows, linenos, ncols):
     """The TrajectoryParseError of the first malformed row, read row by row."""
     first_label = {}
-    for lineno, fields in zip(linenos, _rows(lines)):
+    for lineno, fields in zip(linenos, rows):
         fields = [f.strip() for f in fields]
         where = f"{path}:{lineno}"
         if len(fields) != ncols:

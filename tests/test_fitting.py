@@ -251,7 +251,6 @@ class TestFitModel:
             np.testing.assert_allclose(p1.B, p2.B, atol=1e-12)
 
 
-
 def reference_ingest(path):
     """Line-by-line trajectory CSV parser: each line through its own csv.reader."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -438,22 +437,40 @@ class TestIngest:
         assert isinstance(error, TrajectoryParseError)
         assert error.line == 6
 
-    def test_repeated_sample_time(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body, line, traj_id, time",
+        [
+            (
+                "a,positive,0.0,0.0,0.5\n"
+                "b,positive,1.0,0.5,0.5\n"
+                "a,positive,1.0,0.5,0.5\n"
+                "b,positive,0.0,0.0,0.5\n"
+                "b,positive,1.0,0.7,0.5\n"
+                "b,positive,0.0,0.1,0.5\n",
+                6, "'b'", "1.0",
+            ),
+            # both records repeat a time; the earlier line is named, although
+            # its id appears after the other one's
+            (
+                "a,positive,0.0,0.0,0.5\n"
+                "b,positive,0.0,0.0,0.5\n"
+                "b,positive,1.0,0.5,0.5\n"
+                "b,positive,1.0,0.7,0.5\n"
+                "a,positive,1.0,0.5,0.5\n"
+                "a,positive,0.0,0.1,0.5\n",
+                5, "'b'", "1.0",
+            ),
+        ],
+        ids=["one-record", "two-records"],
+    )
+    def test_repeated_sample_time(self, tmp_path, body, line, traj_id, time):
         path = tmp_path / "repeat.csv"
-        path.write_text(
-            "traj_id,label,t,x0,u0\n"
-            "a,positive,0.0,0.0,0.5\n"
-            "b,positive,1.0,0.5,0.5\n"
-            "a,positive,1.0,0.5,0.5\n"
-            "b,positive,0.0,0.0,0.5\n"
-            "b,positive,1.0,0.7,0.5\n"
-            "b,positive,0.0,0.1,0.5\n"
-        )
+        path.write_text("traj_id,label,t,x0,u0\n" + body)
         with pytest.raises(TrajectoryParseError) as info:
             ingest_trajectories(path)
-        assert info.value.line == 6
+        assert info.value.line == line
         message = str(info.value)
-        assert str(path) in message and "'b'" in message and "1.0" in message
+        assert str(path) in message and traj_id in message and time in message
 
     def test_round_trip(self, tmp_path):
         rec = scalar_record(
@@ -508,4 +525,3 @@ class TestIngest:
         path.write_text("time,x,u\n0,0,0\n")
         with pytest.raises(TrajectoryParseError):
             ingest_trajectories(path)
-
