@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 
 import numpy as np
 
@@ -259,9 +259,10 @@ def ingest_trajectories(path):
     physical line is one row, read as CSV on its own with every field
     stripped; blank lines and lines starting with ``#`` are skipped.  Records
     come in the order their ``traj_id`` first appears, each sorted by ``t``.
-    The first malformed row, or the first row that repeats an earlier sample
-    time of its record, raises :class:`TrajectoryParseError` with its line
-    number.
+    The first malformed row (a non-finite ``t`` included), else the first row
+    that repeats an earlier sample time of its record, else the first row of a
+    record with a single row, raises :class:`TrajectoryParseError` with its
+    line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         raw = fh.readlines()
@@ -296,7 +297,15 @@ def ingest_trajectories(path):
             f"{float(values[0, first])!r}",
             line=linenos[first],
         )
-    groups = np.split(order, np.cumsum(np.bincount(codes))[:-1])
+    sizes = np.bincount(codes)
+    if sizes.min() < 2:
+        first = int(np.flatnonzero(sizes[codes] < 2)[0])
+        raise TrajectoryParseError(
+            f"{path}:{linenos[first]}: id {ids[first]!r} has a single row; "
+            f"a record needs at least two samples",
+            line=linenos[first],
+        )
+    groups = np.split(order, np.cumsum(sizes)[:-1])
     records = []
     for traj_id, group in zip(code_of, groups):
         records.append(
@@ -342,6 +351,8 @@ def _columns(rows, ncols):
         values = np.array([list(map(float, fields[j::ncols])) for j in range(2, ncols)])
     except ValueError:
         return None
+    if not np.isfinite(values[0]).all():
+        return None
     return ids, labels, values
 
 
@@ -361,10 +372,15 @@ def _first_row_error(path, rows, linenos, ncols):
                 f"{where}: label must be positive/negative, got {label!r}", line=lineno
             )
         try:
-            for v in fields[2:]:
+            t = float(fields[2])
+            for v in fields[3:]:
                 float(v)
         except ValueError as exc:
             return TrajectoryParseError(f"{where}: {exc}", line=lineno)
+        if not np.isfinite(t):
+            return TrajectoryParseError(
+                f"{where}: id {traj_id!r} has non-finite sample time {t!r}", line=lineno
+            )
         if first_label.setdefault(traj_id, label) != label:
             return TrajectoryParseError(
                 f"{where}: id {traj_id!r} has conflicting labels", line=lineno
@@ -416,10 +432,11 @@ def write_trajectories(path, records):
         writer = csv.writer(fh)
         writer.writerow(header)
         for rec in recs:
-            for i in range(rec.t.size):
-                writer.writerow(
-                    [rec.id, rec.label, repr(float(rec.t[i]))]
-                    + [repr(float(v)) for v in rec.x[i]]
-                    + [repr(float(v)) for v in rec.u[i]]
-                    + [repr(float(v)) for v in rec.dx[i]]
+            columns = (rec.t, *rec.x.T, *rec.u.T, *rec.dx.T)
+            writer.writerows(
+                zip(
+                    repeat(rec.id),
+                    repeat(rec.label),
+                    *(map(repr, col.tolist()) for col in columns),
                 )
+            )

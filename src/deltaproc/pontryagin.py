@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import least_squares
 
 from .dynamics import BLOWUP_LIMIT, ControlBounds, ControlSchedule, LinearPiece, as_vector
 from .errors import (
@@ -28,6 +26,20 @@ TERMINAL_TOL = 1e-8
 ZERO_STATE_TOL = 1e-12
 # Time steps of the coarse costate-direction scan over [0, t_max].
 SCAN_STEPS = 400
+
+
+# scipy serves only n >= 2 shooting, so it is imported on the first such call
+# and scalar runs never load it.  The solver calls through these module names.
+def expm(a):
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
+def least_squares(fun, x0, **kwargs):
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)

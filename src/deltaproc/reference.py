@@ -26,7 +26,6 @@ import numpy as np
 from .dynamics import (
     BLOWUP_LIMIT,
     ControlBounds,
-    ControlSchedule,
     PiecewiseLinearModel,
     as_vector,
     rk4_step,
@@ -212,43 +211,58 @@ def sample_reference(
         x_cur = x_hit
         ts.append(t_base)
         xs.append(x_hit)
-    ts = np.array(ts)
-    xs = np.array(xs).reshape(-1, 1)
-    us = np.tile(u, (ts.size, 1))
-    dxs = np.array([np.atleast_1d(problem.rhs(x, u)) for x in xs[:, 0]])
-    return TrajectoryRecord(
-        id=f"{problem.name}-u{float(u[0]):g}", label=POSITIVE, t=ts, x=xs, u=us, dx=dxs
-    )
+    return _plant_record(problem, f"{problem.name}-u{float(u[0]):g}", u, ts, xs)
 
 
 def dense_reference_record(
     problem: ReferenceProblem, u_const, num_samples=2001, step=1e-4, t_max=10.0
 ) -> TrajectoryRecord:
-    """Uniform-in-time record covering start-to-goal under a constant control."""
+    """Uniform-in-time record covering start-to-goal under a constant control.
+
+    The states are interpolated from the grid states of the one RK4 sweep
+    that finds the goal time, closed by the state found at the goal.
+    """
     if problem.n != 1:
         raise NotImplementedError("dense sampling is defined for scalar state")
     u = np.atleast_1d(np.asarray(u_const, dtype=float))
     goal = float(problem.x_goal[0])
-    hit = _first_passage(_rk4_flow(problem.rhs, u), problem.x_start, goal, step, t_max)
+    rk4_flow = _rk4_flow(problem.rhs, u)
+    blocks = [problem.x_start]
+
+    def flow(x, h, steps):
+        xs = rk4_flow(x, h, steps)
+        if np.ndim(h) == 0:  # a sweep block; the bisection's steps are per row
+            blocks.append(xs[0])
+        return xs
+
+    hit = _first_passage(flow, problem.x_start, goal, step, t_max)
     if hit is None:
         raise GenerationError(f"goal x={goal} unreachable under u={u_const}")
-    horizon, _ = hit
-    schedule = ControlSchedule.constant(u, 0.0, horizon)
-    from .dynamics import integrate  # local import to avoid cycle at module load
-
-    f = lambda t, xx, uu: np.atleast_1d(problem.rhs(xx, uu))
-    traj = integrate(f, problem.x_start, schedule, step=step)
+    horizon, x_hit = hit
+    grid_x = np.concatenate(blocks)
+    grid_t = step * np.arange(grid_x.size)
+    # the grid states before the crossing, then the state at the goal time
+    before = grid_t < horizon
     ts = np.linspace(0.0, horizon, num_samples)
-    xs = np.interp(ts, traj.t, traj.x[:, 0]).reshape(-1, 1)
-    us = np.tile(u, (ts.size, 1))
-    dxs = np.array([np.atleast_1d(problem.rhs(x, u)) for x in xs[:, 0]])
+    xs = np.interp(ts, np.append(grid_t[before], horizon), np.append(grid_x[before], x_hit))
+    return _plant_record(problem, f"{problem.name}-dense-u{float(u[0]):g}", u, ts, xs)
+
+
+def _plant_record(problem, record_id, u, ts, xs):
+    """Positive record of scalar states ``xs`` at times ``ts`` under constant ``u``.
+
+    The derivatives come from one elementwise call of the plant's ``rhs``.
+    """
+    ts, xs = np.asarray(ts, dtype=float), np.asarray(xs, dtype=float)
+    us = np.full(ts.size, float(u[0]))
+    dxs = np.asarray(problem.rhs(xs, us), dtype=float)
     return TrajectoryRecord(
-        id=f"{problem.name}-dense-u{float(u[0]):g}",
+        id=record_id,
         label=POSITIVE,
         t=ts,
-        x=xs,
-        u=us,
-        dx=dxs,
+        x=xs.reshape(-1, 1),
+        u=us.reshape(-1, 1),
+        dx=dxs.reshape(-1, 1),
     )
 
 

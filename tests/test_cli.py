@@ -1,9 +1,22 @@
 import csv
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from deltaproc import ControlSchedule, ShootingError, simulate_model
+import deltaproc
+from deltaproc import (
+    ControlSchedule,
+    ShootingError,
+    dense_reference_record,
+    example1,
+    simulate_model,
+    write_trajectories,
+)
 from deltaproc.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVALID,
@@ -54,6 +67,32 @@ class TestFit:
         code = main(["delta", "--problem", str(data), "--out", str(tmp_path / "out")])
         assert code == EXIT_INVALID
         assert f"{data}:4: id 'a' repeats sample time 0.5" in capsys.readouterr().err
+
+    def test_single_row_record_names_file_line_and_id(self, tmp_path, capsys):
+        # id b is never fitted, but a record of one row is still rejected
+        data = tmp_path / "one.csv"
+        data.write_text(
+            "traj_id,label,t,x0,u0\n"
+            "a,positive,0.0,0.0,0.5\n"
+            "a,positive,0.5,0.2,0.5\n"
+            "b,negative,0.0,0.1,0.5\n"
+            "a,positive,1.0,0.5,0.5\n"
+        )
+        code = main(["delta", "--problem", str(data), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert f"{data}:4: id 'b' has a single row" in capsys.readouterr().err
+
+    def test_nan_sample_time_names_file_line_and_id(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text(
+            "traj_id,label,t,x0,u0\n"
+            "a,positive,0.0,0.0,0.5\n"
+            "a,positive,nan,0.2,0.5\n"
+            "a,positive,1.0,0.5,0.5\n"
+        )
+        code = main(["fit", "--problem", str(data), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert f"{data}:3: id 'a' has non-finite sample time nan" in capsys.readouterr().err
 
     def test_single_piece_linear_csv(self, tmp_path):
         data = tmp_path / "lin.csv"
@@ -210,3 +249,61 @@ class TestSolverFailure:
         code = main(["solve", "--problem", "example1", "--out", str(tmp_path)])
         assert code == EXIT_SOLVER_FAILURE == 4
         assert "solver failure" in capsys.readouterr().err
+
+
+SCALAR_RUN = textwrap.dedent(
+    """
+    import json, sys
+    import deltaproc
+    from deltaproc import cli, reference
+
+    data, out = sys.argv[1:]
+    codes = [
+        cli.main(["fit", "--problem", data, "--out", out]),
+        cli.main(["solve", "--problem", data, "--out", out]),
+        cli.main(["delta", "--problem", data, "--delta", "0.01", "--out", out]),
+        cli.main(["demo", "example1"]),
+    ]
+    plant = reference.example1()
+    record = reference.sample_reference(plant, 1.0, (0.0, 0.5, 1.0), step=1e-3)
+    reference.dense_reference_record(plant, 1.0, step=1e-3)
+    reference.brute_force_min_time(plant, step=1e-3)
+    model = deltaproc.fit_model(record, deltaproc.TimePartition(record.t))
+    reference.brute_force_min_time(model, plant.bounds, x_start=[0.0])
+    scalar_loads_scipy = "scipy" in sys.modules
+    piece = deltaproc.LinearPiece(
+        A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], t_start=0.0, t_end=1.0,
+        anchor=[0.0, 0.0],
+    )
+    bounds = deltaproc.ControlBounds(lower=[-1.0], upper=[1.0])
+    sol = deltaproc.min_time_transfer(piece, [0.761, 0.114], bounds)
+    print(json.dumps({
+        "codes": codes,
+        "scalar_loads_scipy": scalar_loads_scipy,
+        "transfer_time": sol.transfer_time,
+        "switches": len(sol.switch_times),
+    }))
+    """
+)
+
+
+class TestImportCost:
+    def test_scalar_paths_leave_scipy_unloaded(self, tmp_path):
+        # a fresh interpreter: this test process has loaded scipy already
+        data = tmp_path / "data.csv"
+        record = dense_reference_record(example1(), 1.0, num_samples=201, step=1e-3)
+        write_trajectories(data, [record])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(deltaproc.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", SCALAR_RUN, str(data), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["codes"] == [EXIT_OK] * 4
+        assert result["scalar_loads_scipy"] is False
+        # the double integrator's closed form: 0.114 + 2 sqrt(0.761 + 0.114^2 / 2)
+        expected = 0.114 + 2.0 * np.sqrt(0.761 + 0.114**2 / 2.0)
+        assert result["transfer_time"] == pytest.approx(expected, abs=1e-6)
+        assert result["switches"] == 1

@@ -472,6 +472,58 @@ class TestIngest:
         message = str(info.value)
         assert str(path) in message and traj_id in message and time in message
 
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("a,positive,0.0,0.0,0.5\nb,positive,0.0,1.0,0.5\na,positive,1.0,0.5,0.5\n",
+             3, "id 'b' has a single row"),
+            ("a,positive,0.0,0.0,0.5\na,positive,nan,0.5,0.5\na,positive,1.0,0.5,0.5\n",
+             3, "id 'a' has non-finite sample time nan"),
+            ("a,positive,0.0,0.0,0.5\na,positive,1.0,0.5,0.5\n b ,positive,-inf,0.5,0.5\n",
+             4, "id 'b' has non-finite sample time -inf"),
+            # a malformed row comes before a record of one row
+            ("a,positive,0.0,0.0,0.5\nb,positive,0.0,1.0,0.5\na,positive,inf,0.5,0.5\n",
+             4, "id 'a' has non-finite sample time inf"),
+        ],
+        ids=["single-row", "nan-time", "minus-inf-time", "inf-before-single-row"],
+    )
+    def test_record_rejected_with_its_line(self, tmp_path, body, line, message):
+        path = tmp_path / "short.csv"
+        path.write_text("traj_id,label,t,x0,u0\n" + body)
+        with pytest.raises(TrajectoryParseError) as info:
+            ingest_trajectories(path)
+        assert info.value.line == line
+        assert str(info.value).startswith(f"{path}:{line}: {message}")
+
+    def test_writer_equals_per_row_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        records = [
+            TrajectoryRecord(
+                id=traj_id,
+                label=label,
+                t=np.sort(rng.uniform(-1.0, 1.0, m)),
+                x=rng.normal(size=(m, 2)) * 10.0 ** rng.integers(-300, 300, (m, 2)),
+                u=rng.normal(size=(m, 1)),
+                dx=rng.normal(size=(m, 2)),
+            )
+            for traj_id, label, m in [("c,d", POSITIVE, 7), ('say "hi"', NEGATIVE, 2)]
+        ]
+        path, want = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        write_trajectories(path, records)
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["traj_id", "label", "t", "x0", "x1", "u0", "dx0", "dx1"])
+            for rec in records:
+                for i in range(rec.t.size):
+                    writer.writerow(
+                        [rec.id, rec.label, repr(float(rec.t[i]))]
+                        + [repr(float(v)) for v in rec.x[i]]
+                        + [repr(float(v)) for v in rec.u[i]]
+                        + [repr(float(v)) for v in rec.dx[i]]
+                    )
+        assert path.read_bytes() == want.read_bytes()
+        assert_same_records(ingest_trajectories(path), records)
+
     def test_round_trip(self, tmp_path):
         rec = scalar_record(
             [0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [0.5] * 3, dx=[0.25, 0.5, 1.25], rec_id="a"

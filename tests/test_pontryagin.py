@@ -202,6 +202,26 @@ class TestShootingTransfer:
         for seg in sol.u_schedule.segments:
             assert abs(seg[2][0]) == 1.0  # vertex controls only
 
+    def test_scipy_called_through_module_names(self, monkeypatch):
+        # a tracer counts these calls by replacing the module attributes
+        counts = {"expm": 0, "nfev": 0}
+        expm_, least_squares_ = pontryagin.expm, pontryagin.least_squares
+
+        def counted_expm(*args, **kwargs):
+            counts["expm"] += 1
+            return expm_(*args, **kwargs)
+
+        def counted_least_squares(*args, **kwargs):
+            result = least_squares_(*args, **kwargs)
+            counts["nfev"] += result.nfev
+            return result
+
+        monkeypatch.setattr(pontryagin, "expm", counted_expm)
+        monkeypatch.setattr(pontryagin, "least_squares", counted_least_squares)
+        sol = min_time_transfer(plant_piece(DOUBLE_INTEGRATOR), [1.0, 0.0], UNIT_BOUNDS)
+        assert sol.transfer_time == pytest.approx(2.0, abs=1e-6)
+        assert counts["expm"] > 0 and counts["nfev"] > 0
+
 
 DOUBLE_INTEGRATOR = [[0.0, 1.0], [0.0, 0.0]]
 OSCILLATOR = [[0.0, 1.0], [-1.0, 0.0]]

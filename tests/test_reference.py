@@ -21,8 +21,9 @@ from deltaproc import (
     solve_partition,
     write_trajectories,
 )
+from deltaproc import dynamics, reference
 from deltaproc.reference import PASSAGE_CHUNK, ReferenceProblem
-from deltaproc.reference import _RK4_BLOCK, BENCHMARK_CASES
+from deltaproc.reference import _RK4_BLOCK, BENCHMARK_CASES, CHECKPOINT_TOL
 
 UNIT_BOUNDS = ControlBounds(lower=[-1.0], upper=[1.0])
 
@@ -258,6 +259,52 @@ class TestDenseRecord:
         assert record.t[-1] == pytest.approx(np.pi / 4.0, abs=1e-4)
         assert record.x[0, 0] == pytest.approx(0.0, abs=1e-6)
         assert record.x[-1, 0] == pytest.approx(1.0, abs=1e-4)
+
+    def test_one_sweep_and_no_second_integration(self, monkeypatch):
+        def second_pass(*args, **kwargs):
+            raise AssertionError("the dense record integrated the plant again")
+
+        calls = []
+        rk4_step = reference.rk4_step
+
+        def counted(*args):
+            calls.append(None)
+            return rk4_step(*args)
+
+        monkeypatch.setattr(dynamics, "integrate", second_pass)
+        monkeypatch.setattr(reference, "rk4_step", counted)
+        step = 1e-3
+        record = dense_reference_record(example1(), 0.5, step=step)
+        # the grid steps up to the crossing, the rest of the last block and
+        # the bisection of the crossing step
+        sweep = int(np.ceil(record.t[-1] / step))
+        bisection = int(np.ceil(np.log2(step / CHECKPOINT_TOL))) + 1
+        assert sweep <= len(calls) <= sweep + _RK4_BLOCK - 1 + bisection
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-4])
+    @pytest.mark.parametrize("u", [0.5, 0.9])
+    def test_equals_integrate_then_interpolate(self, u, step):
+        problem = example1()
+        record = dense_reference_record(problem, u, step=step)
+        horizon = record.t[-1]
+        traj = integrate(
+            lambda t, x, uu: problem.rhs(x, uu),
+            problem.x_start,
+            ControlSchedule.constant([u], 0.0, horizon),
+            step=step,
+        )
+        np.testing.assert_array_equal(record.t, np.linspace(0.0, horizon, 2001))
+        expected = np.interp(record.t, traj.t, traj.x[:, 0])
+        np.testing.assert_allclose(record.x[:, 0], expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(record.u, np.full((2001, 1), u))
+        np.testing.assert_allclose(record.dx[:, 0], expected**2 + u**2, rtol=0.0, atol=1e-12)
+        assert record.x[-1, 0] == pytest.approx(1.0, abs=CHECKPOINT_TOL * 10)
+
+    def test_derivatives_equal_per_sample_rhs(self):
+        problem = example1()
+        record = dense_reference_record(problem, 0.7, num_samples=8001, step=1e-3)
+        per_sample = [problem.rhs(x, [0.7])[0] for x in record.x[:, 0]]
+        np.testing.assert_array_equal(record.dx[:, 0], per_sample)
 
 
 
