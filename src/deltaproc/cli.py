@@ -112,13 +112,27 @@ def build_parser():
 
 
 def resolve_settings(args):
-    settings = dict(DEFAULTS)
-    if args.config:
-        settings.update(read_config(args.config))
+    """Defaults, then the config file, then the flags.
+
+    A benchmark case other than ``example1`` as the problem brings its own
+    data control and checkpoints, so giving either as well is an error.
+    """
+    given = read_config(args.config) if args.config else {}
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
-            settings[key] = value
+            given[key] = value
+    settings = {**DEFAULTS, **given}
+    case = BENCHMARK_CASES.get(settings["problem"])
+    if case is not None and case.name != "example1":
+        clash = [key for key in ("data_control", "num_pieces") if key in given]
+        if clash:
+            raise ValueError(
+                f"problem {case.name} fixes its data control and checkpoints; "
+                f"remove {' and '.join(clash)} from the flags and the config"
+            )
+        settings["data_control"] = case.u_data
+        settings["num_pieces"] = len(case.checkpoints) - 1
     return settings
 
 
@@ -134,16 +148,23 @@ def _partition(record, settings):
 
 
 def _load_record(settings, dense):
-    """Built-in reference data or the first positive record of a CSV file."""
+    """Built-in reference data or the first positive record of a CSV file.
+
+    ``example1`` samples the plant at ``num_pieces + 1`` evenly spaced
+    states; another benchmark case samples it at its own checkpoints.
+    """
     problem_src = settings["problem"]
-    if problem_src in BENCHMARK_CASES or problem_src == "example1":
+    if problem_src in BENCHMARK_CASES:
         problem = example1()
         u_data = settings["data_control"]
         if dense:
             return dense_reference_record(problem, u_data, step=settings["step"])
-        checkpoints = np.linspace(
-            float(problem.x_start[0]), float(problem.x_goal[0]), settings["num_pieces"] + 1
-        )
+        if problem_src == "example1":
+            checkpoints = np.linspace(
+                float(problem.x_start[0]), float(problem.x_goal[0]), settings["num_pieces"] + 1
+            )
+        else:
+            checkpoints = BENCHMARK_CASES[problem_src].checkpoints
         return sample_reference(problem, u_data, checkpoints, step=settings["step"])
     path = Path(problem_src)
     if not path.exists():

@@ -28,7 +28,7 @@ def as_vector(x, name="vector"):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite components: {arr}")
     return arr
 
@@ -121,7 +121,7 @@ class LinearPiece:
             raise DimensionMismatchError(f"B rows {B.shape[0]} != A size {A.shape[0]}")
         if self.anchor.size != A.shape[0]:
             raise DimensionMismatchError("anchor dimension does not match A")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
             raise ValueError("A and B must be finite")
         if not self.t_start < self.t_end:
             raise ValueError("piece requires t_start < t_end")
@@ -154,10 +154,14 @@ class PiecewiseLinearModel:
                 f"{len(pieces)} pieces for a partition with "
                 f"{self.partition.num_pieces} subintervals"
             )
-        for k, piece in enumerate(pieces):
-            lo, hi = self.partition.knots[k], self.partition.knots[k + 1]
-            if not (np.isclose(piece.t_start, lo) and np.isclose(piece.t_end, hi)):
-                raise ValueError(f"piece {k} does not match its subinterval [{lo}, {hi}]")
+        knots = self.partition.knots
+        starts = np.array([piece.t_start for piece in pieces], dtype=float)
+        ends = np.array([piece.t_end for piece in pieces], dtype=float)
+        matched = np.isclose(starts, knots[:-1]) & np.isclose(ends, knots[1:])
+        if not matched.all():
+            k = int(np.argmin(matched))
+            lo, hi = knots[k], knots[k + 1]
+            raise ValueError(f"piece {k} does not match its subinterval [{lo}, {hi}]")
 
     @property
     def n(self):

@@ -56,6 +56,10 @@ class TrajectoryRecord:
             raise ValueError(f"label must be positive/negative, got {self.label!r}")
         if t.size < 2:
             raise ValueError("a record needs at least two samples")
+        finite = np.isfinite(t)
+        if not finite.all():
+            bad = float(t[np.argmin(finite)])
+            raise ValueError(f"record {self.id!r} has non-finite sample time {bad!r}")
         if not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
 
@@ -200,8 +204,8 @@ def fit_model(
 
     Endpoint states/derivatives/controls are linearly interpolated from the
     record at the partition knots.  Scalar problems use the exact
-    two-endpoint solve; otherwise least squares over samples in the
-    subinterval.
+    two-endpoint solve, on all subintervals at once; otherwise least squares
+    over samples in the subinterval.
     """
     if record.label == NEGATIVE and not allow_negative:
         raise ValueError(
@@ -220,13 +224,46 @@ def fit_model(
             uncovered_knots=uncovered,
         )
     rec = estimate_derivatives(record) if record.dx is None else record
+    knots = partition.knots
+    if rec.n == 1 and rec.r == 1:
+        x, a, b, solved = _endpoint_solve(rec, knots)
+    else:
+        solved = np.zeros(partition.num_pieces, dtype=bool)
     pieces = []
-    for k in range(partition.num_pieces):
-        t_l, t_r = partition.knots[k], partition.knots[k + 1]
-        anchor = rec.interp_state(t_r)
-        A, B = _fit_subinterval(rec, t_l, t_r)
+    for k, exact in enumerate(solved.tolist()):
+        t_l, t_r = knots[k], knots[k + 1]
+        if exact:
+            A, B, anchor = a[k : k + 1, None], b[k : k + 1, None], x[k + 1 : k + 2]
+        else:
+            A, B = _fit_subinterval(rec, t_l, t_r)
+            anchor = rec.interp_state(t_r)
         pieces.append(LinearPiece(A=A, B=B, t_start=t_l, t_end=t_r, anchor=anchor))
     return PiecewiseLinearModel(pieces=tuple(pieces), partition=partition)
+
+
+def _endpoint_solve(rec: TrajectoryRecord, knots):
+    """The scalar two-endpoint solve of :func:`fit_piece` on every subinterval.
+
+    Returns the states at the knots, a, b and a mask of the subintervals
+    whose solve stands.  The others (coinciding endpoint states, non-finite
+    conditions or coefficients, u_data = 0) are left to
+    :func:`_fit_subinterval`, which falls back to least squares or raises.
+    """
+    x = np.interp(knots, rec.t, rec.x[:, 0])
+    dx = np.interp(knots, rec.t, rec.dx[:, 0])
+    u = np.interp(knots[:-1], rec.t, rec.u[:, 0])
+    x_l, x_r = x[:-1], x[1:]
+    with np.errstate(all="ignore"):
+        a = (dx[1:] - dx[:-1]) / (x_r - x_l)
+        b = (dx[:-1] - a * x_l) / u
+    finite_x = np.isfinite(x)
+    # a non-finite dx, or u = 0, leaves a or b non-finite
+    solved = (
+        finite_x[:-1] & finite_x[1:] & np.isfinite(u)
+        & ~np.isclose(x_l, x_r)
+        & np.isfinite(a) & np.isfinite(b)
+    )
+    return x, a, b, solved
 
 
 def _fit_subinterval(rec: TrajectoryRecord, t_l, t_r):

@@ -50,7 +50,8 @@ class AdjointState:
 
     def __post_init__(self):
         object.__setattr__(self, "psi", as_vector(self.psi, "psi"))
-        if np.allclose(self.psi, 0.0):
+        # np.allclose(psi, 0.0) for the finite psi that as_vector leaves
+        if not (np.abs(self.psi) > 1e-8).any():
             raise TrivialCostateError("costate must be nonzero")
 
 
@@ -154,45 +155,63 @@ def min_time_transfer(
     if x_from.size != piece.n:
         raise DimensionMismatchError(f"x_from dim {x_from.size} != piece dim {piece.n}")
     if np.linalg.norm(x_from - piece.anchor) <= ZERO_STATE_TOL:
-        return PieceSolution(
-            piece_index=piece_index,
-            u_schedule=None,
-            transfer_time=0.0,
-            switch_times=(),
-            hamiltonian=0.0,
-            psi0=AdjointState(psi=np.eye(piece.n)[0]),
-        )
+        return _trivial_solution(piece_index, piece.n)
     if piece.n == 1:
         return _scalar_transfer(piece, x_from, bounds, piece_index)
     return _shooting_transfer(piece, x_from, bounds, piece_index, t_max)
 
 
-def _scalar_transfer(piece, x_from, bounds, piece_index):
-    a = float(piece.A[0, 0])
-    x0 = float(x_from[0])
-    xf = float(piece.anchor[0])
-    best = None
-    diagnostics = []
-    for psi0 in (1.0, -1.0):
-        u_star = extremal_control(piece, np.array([psi0]), bounds)
-        drive = float(piece.B[0] @ u_star)
-        t = _scalar_time(a, x0, xf, drive)
-        if t is None:
-            diagnostics.append(f"costate ray {psi0:+g}: drive {drive:g} cannot reach target")
-            continue
-        if best is None or t < best[0]:
-            best = (t, u_star, psi0)
-    if best is None:
-        raise InfeasibleTransferError(
-            f"no vertex control transfers x={x0:g} to {xf:g} "
-            f"(a={a:g}, B={piece.B.ravel()}): " + "; ".join(diagnostics)
-        )
-    t, u_star, psi0 = best
-    schedule = ControlSchedule.constant(u_star, 0.0, t)
-    h = hamiltonian(piece, np.array([psi0]), x_from, u_star)
+def _trivial_solution(piece_index, n):
     return PieceSolution(
         piece_index=piece_index,
-        u_schedule=schedule,
+        u_schedule=None,
+        transfer_time=0.0,
+        switch_times=(),
+        hamiltonian=0.0,
+        psi0=AdjointState(psi=np.eye(n)[0]),
+    )
+
+
+def scalar_transfers(a, B, x0, xf, bounds):
+    """Minimal-time transfers of many scalar pieces in one closed-form pass.
+
+    Row k is the piece dx/dt = a[k] x + B[k] u taken from x0[k] to xf[k].
+    Returns one :class:`PieceSolution` per row, with the row as its piece
+    index, and None for a row that no vertex control can transfer.
+    """
+    T, u, psi, H = _scalar_time(a, B, x0, xf, bounds)
+    return [
+        None if np.isnan(t) else _scalar_solution(k, t, u_star, psi0, h)
+        for k, (t, u_star, psi0, h) in enumerate(zip(T.tolist(), u, psi.tolist(), H.tolist()))
+    ]
+
+
+def _scalar_transfer(piece, x_from, bounds, piece_index):
+    (t,), (u_star,), (psi0,), (h,) = _scalar_time(
+        piece.A[0], piece.B, x_from, piece.anchor, bounds
+    )
+    if np.isnan(t):
+        drives = {
+            ray: float(piece.B[0] @ extremal_control(piece, np.array([ray]), bounds))
+            for ray in (1.0, -1.0)
+        }
+        diagnostics = [
+            f"costate ray {ray:+g}: drive {drive:g} cannot reach target"
+            for ray, drive in drives.items()
+        ]
+        raise InfeasibleTransferError(
+            f"no vertex control transfers x={float(x_from[0]):g} to {float(piece.anchor[0]):g} "
+            f"(a={float(piece.A[0, 0]):g}, B={piece.B.ravel()}): " + "; ".join(diagnostics)
+        )
+    return _scalar_solution(piece_index, float(t), u_star, float(psi0), float(h))
+
+
+def _scalar_solution(piece_index, t, u_star, psi0, h):
+    if t == 0.0:
+        return _trivial_solution(piece_index, 1)
+    return PieceSolution(
+        piece_index=piece_index,
+        u_schedule=ControlSchedule.constant(u_star, 0.0, t),
         transfer_time=t,
         switch_times=(),
         hamiltonian=h,
@@ -200,23 +219,41 @@ def _scalar_transfer(piece, x_from, bounds, piece_index):
     )
 
 
-def _scalar_time(a, x0, xf, drive):
-    """Transfer time for dx/dt = a x + drive, or None when unreachable.
+def _scalar_time(a, B, x0, xf, bounds):
+    """Closed-form minimal transfers of the scalar rows dx/dt = a x + B u.
 
-    The log formula needs a x + drive to keep one sign over the whole path;
-    equivalently both endpoint speeds must share the direction of travel.
+    ``a``, ``x0`` and ``xf`` hold one entry per row and ``B`` one row of r
+    gains.  Each costate ray psi0 = +1, -1 drives with the vertex control
+    that maximises psi0 B u; the ray +1 wins ties.  The log formula needs
+    a x + drive to keep one sign over the whole path; equivalently both
+    endpoint speeds must share the direction of travel.  Returns the arrays
+    T, u*, psi0 and H = psi0 (a x0 + B u*).  A row with
+    |x0 - xf| <= ZERO_STATE_TOL is trivial (T = 0, psi0 = +1, H = 0); a row
+    that neither ray can reach has T = nan.
     """
-    s0 = a * x0 + drive
-    sf = a * xf + drive
-    if a == 0.0:
-        if drive == 0.0:
-            return None
-        t = (xf - x0) / drive
-        return t if t > 0.0 else None
-    if s0 == 0.0 or sf == 0.0 or np.sign(s0) != np.sign(sf):
-        return None
-    t = np.log(sf / s0) / a
-    return t if t > 0.0 else None
+    a, x0, xf = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, x0, xf))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    if bounds.r != B.shape[1]:
+        raise DimensionMismatchError(f"bounds dim {bounds.r} != piece input dim {B.shape[1]}")
+    linear = a == 0.0
+    rays = []
+    with np.errstate(all="ignore"):
+        for psi0 in (1.0, -1.0):
+            u = np.where(B * psi0 < 0.0, bounds.lower, bounds.upper)
+            drive = (B * u).sum(axis=1)
+            s0 = a * x0 + drive
+            sf = a * xf + drive
+            t = np.where(linear, (xf - x0) / drive, np.log(sf / s0) / a)
+            reach = (t > 0.0) & np.where(linear, drive != 0.0, np.sign(s0) == np.sign(sf))
+            rays.append((t, u, drive, reach))
+    (t_plus, u_plus, drive_plus, reach_plus), (t_minus, u_minus, drive_minus, reach_minus) = rays
+    minus = reach_minus & (~reach_plus | (t_minus < t_plus))
+    T = np.where(minus, t_minus, np.where(reach_plus, t_plus, np.nan))
+    psi = np.where(minus, -1.0, 1.0)
+    H = psi * (a * x0 + np.where(minus, drive_minus, drive_plus))
+    trivial = np.abs(x0 - xf) <= ZERO_STATE_TOL
+    T[trivial], psi[trivial], H[trivial] = 0.0, 1.0, 0.0
+    return T, np.where(minus[:, None], u_minus, u_plus), psi, H
 
 
 def _angles_to_direction(angles):

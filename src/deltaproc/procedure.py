@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import ControlBounds, ControlSchedule, PiecewiseLinearModel, TimePartition
 from .errors import DeltaProcError
 from .fitting import TrajectoryRecord, fit_model
-from .pontryagin import PieceSolution, min_time_transfer
+from .pontryagin import PieceSolution, min_time_transfer, scalar_transfers
 
 REFINE_DOUBLE = "double"
 REFINE_INCREMENT = "increment"
@@ -128,32 +128,60 @@ def solve_partition(
 
     Piece k transfers from the data anchor at knot k-1 to the anchor at knot
     k; totals are the sum of per-piece times.  Errors from fitting or the
-    transfer solver are annotated with the piece index.
+    transfer solver are annotated with the piece index.  A scalar model is
+    solved in one closed-form pass over all its pieces.
     """
     model = fit_model(record, partition)
     x_start = record.interp_state(partition.t0)
-    solutions = []
-    x_from = x_start
-    total = 0.0
-    for k, piece in enumerate(model.pieces):
-        try:
-            sol = min_time_transfer(piece, x_from, bounds, piece_index=k)
-        except DeltaProcError as exc:
-            exc.args = (f"piece {k}: {exc.args[0]}",) + exc.args[1:]
-            raise
-        solutions.append(sol)
-        total += sol.transfer_time
-        x_from = piece.anchor
+    if model.n == 1 and model.pieces[0].r == bounds.r:
+        solutions = _scalar_level(model.pieces, x_start, bounds)
+    else:
+        # n >= 2, or a control box that does not fit the pieces, which the
+        # first non-trivial transfer reports
+        solutions = []
+        x_from = x_start
+        for k, piece in enumerate(model.pieces):
+            solutions.append(_transfer(k, piece, x_from, bounds))
+            x_from = piece.anchor
+    # summed left to right like the transfers are chained: np.sum adds
+    # pairwise and would change the last bits
+    total = np.add.accumulate([sol.transfer_time for sol in solutions])[-1]
     result = PartitionSolution(
         model=model,
         piece_solutions=solutions,
         x_start=np.asarray(x_start, dtype=float),
-        total_time=total,
+        total_time=float(total),
     )
     w = weights if weights is not None else PartitionWeights.ones(len(model.pieces))
     result.eq_mean_score = mean_hamiltonian_score(result, w)
     result.eq_deviation_score = hamiltonian_deviation(result, w)
     return result
+
+
+def _scalar_level(pieces, x_start, bounds):
+    """Transfers of all pieces of a scalar model, chained through the anchors."""
+    xf = np.array([piece.anchor[0] for piece in pieces])
+    x0 = np.concatenate([x_start, xf[:-1]])
+    solutions = scalar_transfers(
+        [piece.A[0, 0] for piece in pieces],
+        np.concatenate([piece.B for piece in pieces]),
+        x0,
+        xf,
+        bounds,
+    )
+    unreachable = next((k for k, sol in enumerate(solutions) if sol is None), None)
+    if unreachable is not None:
+        # raises the piece's own InfeasibleTransferError
+        _transfer(unreachable, pieces[unreachable], x0[unreachable], bounds)
+    return solutions
+
+
+def _transfer(k, piece, x_from, bounds):
+    try:
+        return min_time_transfer(piece, x_from, bounds, piece_index=k)
+    except DeltaProcError as exc:
+        exc.args = (f"piece {k}: {exc.args[0]}",) + exc.args[1:]
+        raise
 
 
 def mean_hamiltonian_score(sol: PartitionSolution, w: PartitionWeights):

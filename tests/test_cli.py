@@ -51,6 +51,44 @@ class TestFit:
         assert float(rows[1]["A00"]) == pytest.approx(1.5, abs=1e-6)
         assert float(rows[1]["B00"]) == pytest.approx(-0.5, abs=1e-6)
 
+    def test_case_name_uses_its_data(self, tmp_path):
+        assert main(["fit", "--problem", "example2-case3", "--out", str(tmp_path / "c")]) == 0
+        assert main(["fit", "--problem", "example1", "--out", str(tmp_path / "e")]) == 0
+        rows = read_csv(tmp_path / "c" / "model.csv")
+        anchors = [float(row["anchor0"]) for row in rows]
+        assert anchors == pytest.approx([0.75, 1.0], abs=1e-6)
+        # the case samples u = 1.0 where example1 samples u = 0.5
+        assert float(rows[0]["B00"]) == pytest.approx(1.0, abs=1e-6)
+        model = (tmp_path / "c" / "model.csv").read_bytes()
+        assert model != (tmp_path / "e" / "model.csv").read_bytes()
+
+    def test_case_name_solve_matches_demo(self, tmp_path, capsys):
+        assert main(["solve", "--problem", "example2-case2", "--out", str(tmp_path)]) == 0
+        total = float(capsys.readouterr().out.splitlines()[0].split(":")[1])
+        assert main(["demo", "example2-case2"]) == 0
+        demo_total = float(capsys.readouterr().out.splitlines()[1].split()[1])
+        assert total == pytest.approx(demo_total, abs=1e-4)
+        assert len(read_csv(tmp_path / "model.csv")) == 4
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--data-control", "0.5"], ""),
+            (["--num-pieces", "2"], ""),
+            ([], "num_pieces=2\n"),
+            ([], "data_control=0.9\nnum_pieces=4\n"),
+        ],
+    )
+    def test_case_name_with_its_own_settings_rejected(self, tmp_path, capsys, flags, config):
+        argv = ["fit", "--problem", "example2-case3", "--out", str(tmp_path), *flags]
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = ["--config", str(tmp_path / "run.cfg"), *argv]
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "example2-case3 fixes its data control and checkpoints" in err
+        assert not (tmp_path / "model.csv").exists()
+
     def test_bad_path(self, tmp_path, capsys):
         code = main(["fit", "--problem", str(tmp_path / "missing.csv")])
         assert code == EXIT_INVALID
@@ -245,7 +283,7 @@ class TestSolverFailure:
         def miss(*args, **kwargs):
             raise ShootingError("costate shooting missed the target", best_residual=0.1)
 
-        monkeypatch.setattr("deltaproc.procedure.min_time_transfer", miss)
+        monkeypatch.setattr("deltaproc.procedure.scalar_transfers", miss)
         code = main(["solve", "--problem", "example1", "--out", str(tmp_path)])
         assert code == EXIT_SOLVER_FAILURE == 4
         assert "solver failure" in capsys.readouterr().err

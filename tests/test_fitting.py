@@ -179,6 +179,17 @@ class TestFitPieceGeneral:
         np.testing.assert_allclose(B_hat, B, atol=1e-9)
 
 
+class TestRecord:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_named(self, bad):
+        with pytest.raises(ValueError) as info:
+            TrajectoryRecord(
+                id="a", label="positive", t=[0.0, 1.0, bad, 3.0], x=[0.0, 0.5, 1.0, 1.5],
+                u=[0.5] * 4,
+            )
+        assert str(info.value) == f"record 'a' has non-finite sample time {bad!r}"
+
+
 class TestFitModel:
     def test_benchmark_pieces(self):
         rec = scalar_record(

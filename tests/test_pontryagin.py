@@ -48,6 +48,16 @@ class TestAdjointSolve:
         with pytest.raises(TrivialCostateError):
             adjoint_solve(make_piece(0.5, 0.5, 0.0), [0.0])
 
+    @pytest.mark.parametrize(
+        "psi", [[0.0], [1e-8], [-1e-8], [1.0000001e-8], [0.0, -2e-8], [1e-9, 1e-9], [1.0]]
+    )
+    def test_adjoint_state_rejects_what_allclose_calls_zero(self, psi):
+        if np.allclose(psi, 0.0):
+            with pytest.raises(TrivialCostateError):
+                pontryagin.AdjointState(psi=psi)
+        else:
+            assert pontryagin.AdjointState(psi=psi).psi.tolist() == psi
+
     def test_matches_integrated_adjoint(self):
         A = np.array([[0.2, 1.0], [-0.5, 0.1]])
         piece = LinearPiece(A=A, B=np.eye(2), t_start=0.0, t_end=2.0, anchor=[0, 0])

@@ -1,21 +1,36 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from deltaproc import (
     ControlBounds,
     DeltaConfig,
+    DeltaProcError,
+    InfeasibleTransferError,
+    LinearPiece,
     PartitionWeights,
+    PiecewiseLinearModel,
+    SingularFitError,
     TimePartition,
+    TrajectoryRecord,
     dense_reference_record,
+    estimate_derivatives,
     example1,
+    extremal_control,
+    fit_model,
+    hamiltonian,
     hamiltonian_deviation,
     mean_hamiltonian_score,
+    min_time_transfer,
     refine_partition,
     run_delta,
     sample_reference,
     simulate_model,
     solve_partition,
 )
+from deltaproc.fitting import _fit_subinterval
+from deltaproc.pontryagin import ZERO_STATE_TOL
 
 UNIT_BOUNDS = ControlBounds(lower=[-1.0], upper=[1.0])
 
@@ -148,3 +163,259 @@ class TestRunDelta:
             DeltaConfig(delta=-1.0, bounds=UNIT_BOUNDS)
         with pytest.raises(ValueError):
             DeltaConfig(delta=0.1, bounds=UNIT_BOUNDS, strategy="nope")
+
+
+# ---------------------------------------------------------------------------
+# A scalar level solved with arrays against the per-piece object chain: a
+# fit, a model check and a closed-form transfer for one piece at a time.
+
+
+def per_piece_model(record, partition):
+    """fit_model one subinterval at a time, with the per-piece span check."""
+    rec = estimate_derivatives(record)
+    pieces = []
+    for k in range(partition.num_pieces):
+        t_l, t_r = partition.knots[k], partition.knots[k + 1]
+        anchor = rec.interp_state(t_r)
+        A, B = _fit_subinterval(rec, t_l, t_r)
+        pieces.append(LinearPiece(A=A, B=B, t_start=t_l, t_end=t_r, anchor=anchor))
+    check_spans(pieces, partition)
+    return PiecewiseLinearModel(tuple(pieces), partition)
+
+
+def check_spans(pieces, partition):
+    for k, piece in enumerate(pieces):
+        lo, hi = partition.knots[k], partition.knots[k + 1]
+        if not (np.isclose(piece.t_start, lo) and np.isclose(piece.t_end, hi)):
+            raise ValueError(f"piece {k} does not match its subinterval [{lo}, {hi}]")
+
+
+def per_piece_time(a, x0, xf, drive):
+    s0 = a * x0 + drive
+    sf = a * xf + drive
+    if a == 0.0:
+        if drive == 0.0:
+            return None
+        t = (xf - x0) / drive
+        return t if t > 0.0 else None
+    if s0 == 0.0 or sf == 0.0 or np.sign(s0) != np.sign(sf):
+        return None
+    t = np.log(sf / s0) / a
+    return t if t > 0.0 else None
+
+
+def per_piece_transfer(piece, x_from, bounds):
+    """(T, u*, psi0, H) of one scalar piece, tried ray by ray."""
+    if np.linalg.norm(x_from - piece.anchor) <= ZERO_STATE_TOL:
+        return 0.0, None, 1.0, 0.0
+    a, x0, xf = float(piece.A[0, 0]), float(x_from[0]), float(piece.anchor[0])
+    best, diagnostics = None, []
+    for psi0 in (1.0, -1.0):
+        u_star = extremal_control(piece, np.array([psi0]), bounds)
+        drive = float(piece.B[0] @ u_star)
+        t = per_piece_time(a, x0, xf, drive)
+        if t is None:
+            diagnostics.append(f"costate ray {psi0:+g}: drive {drive:g} cannot reach target")
+            continue
+        if best is None or t < best[0]:
+            best = (t, u_star, psi0)
+    if best is None:
+        raise InfeasibleTransferError(
+            f"no vertex control transfers x={x0:g} to {xf:g} "
+            f"(a={a:g}, B={piece.B.ravel()}): " + "; ".join(diagnostics)
+        )
+    t, u_star, psi0 = best
+    return t, u_star, psi0, hamiltonian(piece, np.array([psi0]), x_from, u_star)
+
+
+def per_piece_solve(record, partition, bounds):
+    """The model, the (T, u*, psi0, H) of each piece, the total and both scores."""
+    model = per_piece_model(record, partition)
+    rows, total = [], 0.0
+    x_from = record.interp_state(partition.t0)
+    for k, piece in enumerate(model.pieces):
+        try:
+            rows.append(per_piece_transfer(piece, x_from, bounds))
+        except DeltaProcError as exc:
+            exc.args = (f"piece {k}: {exc.args[0]}",) + exc.args[1:]
+            raise
+        total += rows[-1][0]
+        x_from = piece.anchor
+    sol = SimpleNamespace(piece_solutions=[SimpleNamespace(hamiltonian=row[3]) for row in rows])
+    w = PartitionWeights.ones(len(rows))
+    return model, rows, total, mean_hamiltonian_score(sol, w), hamiltonian_deviation(sol, w)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by the caller, not handled
+        return type(exc), str(exc)
+
+
+def random_record(rng, num_pieces, with_dx):
+    """A monotone scalar record, knots at samples, with special pieces.
+
+    Pieces are drawn as plain steps, flat pieces (anchors that coincide or
+    lie within ZERO_STATE_TOL: a trivial transfer and a least-squares fit),
+    pieces with x_l close to x_r (least squares) and, when derivatives are
+    given, pieces with equal endpoint derivatives (a = 0) and pieces with
+    dx = x at both ends (a = 1, b = 0: both costate rays tie).  Half the
+    records fall, so their drive is negative; controls take both signs.
+    """
+    direction = rng.choice([-1.0, 1.0])
+    kinds = rng.choice(["step", "step", "flat", "near", "level", "free"], size=num_pieces)
+    knot_x = [rng.uniform(-1.0, 1.0)]
+    for kind in kinds:
+        gap = {"flat": rng.choice([0.0, 1e-13]), "near": 1e-9}.get(kind, rng.uniform(0.05, 0.5))
+        knot_x.append(knot_x[-1] + direction * gap)
+    inner = 4
+    t = np.cumsum(rng.uniform(0.05, 0.2, num_pieces * inner + 1))
+    x = np.empty_like(t)
+    for k in range(num_pieces):
+        s = np.linspace(0.0, 1.0, inner + 1)
+        x[k * inner : (k + 1) * inner + 1] = knot_x[k] + (knot_x[k + 1] - knot_x[k]) * s
+        # interior samples leave the chord, so least squares stays full rank
+        x[k * inner + 1 : (k + 1) * inner] += 0.01 * rng.standard_normal(inner - 1)
+    u = rng.uniform(0.2, 1.0, t.size) * rng.choice([-1.0, 1.0], t.size)
+    dx = None
+    if with_dx:
+        dx = direction * rng.uniform(0.5, 2.0, t.size)
+        for k, kind in enumerate(kinds):
+            left, right = k * inner, (k + 1) * inner
+            if kind == "level":
+                dx[right] = dx[left]
+            elif kind == "free":
+                dx[left], dx[right] = x[left], x[right]
+    record = TrajectoryRecord(
+        id="r", label="positive", t=t, x=x[:, None], u=u[:, None],
+        dx=None if dx is None else dx[:, None],
+    )
+    return record, TimePartition(t[::inner]), kinds
+
+
+class TestScalarLevel:
+    BOUNDS = ControlBounds(lower=[-0.7], upper=[1.3])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_per_piece_path(self, seed):
+        rng = np.random.default_rng(seed)
+        record, partition, kinds = random_record(rng, 6 + seed % 5, with_dx=seed % 2 == 0)
+        if seed % 4 == 3:
+            partition = TimePartition.uniform(record.t_start, record.t_end, 5)
+        expected = outcome(per_piece_solve, record, partition, self.BOUNDS)
+        got = outcome(solve_partition, record, partition, self.BOUNDS)
+        if not isinstance(expected[0], PiecewiseLinearModel):
+            assert got == expected
+            return
+        model, rows, total, mean, deviation = expected
+        for p, q in zip(got.model.pieces, model.pieces):
+            assert (p.A, p.B, p.anchor, p.t_start, p.t_end) == (q.A, q.B, q.anchor, q.t_start, q.t_end)
+        x_from = got.x_start
+        for k, (sol, (t, u_star, psi0, h)) in enumerate(zip(got.piece_solutions, rows)):
+            assert sol.piece_index == k
+            assert sol.transfer_time == t
+            assert sol.hamiltonian == h
+            assert sol.psi0.psi.tolist() == [psi0]
+            if u_star is None:
+                assert sol.is_trivial
+            else:
+                ((start, end, u),) = sol.u_schedule.segments
+                assert (start, end, u.tolist()) == (0.0, t, u_star.tolist())
+            # one row of the closed form gives the same as the whole level
+            single = min_time_transfer(model.pieces[k], x_from, self.BOUNDS, piece_index=k)
+            assert (single.transfer_time, single.hamiltonian) == (t, h)
+            x_from = model.pieces[k].anchor
+        assert got.total_time == total
+        assert (got.eq_mean_score, got.eq_deviation_score) == (mean, deviation)
+
+    def test_property_cases_are_covered(self):
+        """The seeds above reach every special piece and a negative drive."""
+        seen_kinds, drives, feasible = set(), set(), 0
+        near_trivial = a_zero = b_zero = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            record, partition, kinds = random_record(rng, 6 + seed % 5, with_dx=seed % 2 == 0)
+            if seed % 4 == 3:
+                continue
+            try:
+                sol = solve_partition(record, partition, self.BOUNDS)
+            except DeltaProcError:
+                continue
+            feasible += 1
+            x_from = sol.x_start
+            for piece, ps, kind in zip(sol.model.pieces, sol.piece_solutions, kinds):
+                seen_kinds.add(kind)
+                a_zero += piece.A[0, 0] == 0.0
+                b_zero += piece.B[0, 0] == 0.0 and not ps.is_trivial
+                # trivial within ZERO_STATE_TOL, not only at equal anchors
+                near_trivial += ps.is_trivial and piece.anchor[0] != x_from[0]
+                x_from = piece.anchor
+                if not ps.is_trivial:
+                    drives.add(np.sign(piece.B[0] @ ps.u_schedule.segments[0][2]))
+        assert feasible >= 15
+        assert seen_kinds == {"step", "flat", "near", "level", "free"}
+        assert {-1.0, 1.0} <= drives
+        assert near_trivial > 0 and a_zero > 0 and b_zero > 0
+
+    def test_zero_control_error(self):
+        t = np.linspace(0.0, 1.0, 9)
+        u = np.full(t.size, 0.5)
+        u[4] = 0.0
+        record = TrajectoryRecord(id="r", label="positive", t=t, x=t**2 + t, u=u)
+        partition = TimePartition(t[::2])
+        expected = outcome(per_piece_solve, record, partition, UNIT_BOUNDS)
+        assert expected == (SingularFitError, "u_data = 0 leaves the input coefficient unidentifiable")
+        assert outcome(solve_partition, record, partition, UNIT_BOUNDS) == expected
+        assert outcome(fit_model, record, partition) == expected
+
+    @pytest.mark.parametrize("column", ["x", "u", "dx"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_conditions_error_of_the_first_piece(self, column, value):
+        t = np.linspace(0.0, 1.0, 9)
+        data = {"x": t**2 + t, "u": np.full(t.size, 0.5), "dx": 2.0 * t + 1.0}
+        data["u"][6] = 0.0  # a later piece fails too
+        data[column][2] = value
+        record = TrajectoryRecord(id="r", label="positive", t=t, **data)
+        partition = TimePartition(t[::2])
+        expected = outcome(per_piece_solve, record, partition, UNIT_BOUNDS)
+        assert expected == (ValueError, "fit conditions must be finite")
+        assert outcome(solve_partition, record, partition, UNIT_BOUNDS) == expected
+
+    def test_infeasible_piece_error(self):
+        # the data rise on [0.5, 0.75], but the derivative at its right end
+        # points down; [0.75, 1] fails as well
+        t = np.linspace(0.0, 1.0, 5)
+        x = np.array([0.0, 0.2, 0.4, 0.6, 0.8])
+        dx = np.array([1.0, 1.0, 1.0, -1.0, 1.0])
+        record = TrajectoryRecord(id="r", label="positive", t=t, x=x, u=[0.5] * 5, dx=dx)
+        partition = TimePartition(t)
+        bounds = ControlBounds(lower=[0.4], upper=[0.6])
+        expected = outcome(per_piece_solve, record, partition, bounds)
+        assert expected[0] is InfeasibleTransferError
+        assert expected[1].startswith("piece 2: no vertex control transfers x=0.4 to 0.6")
+        assert outcome(solve_partition, record, partition, bounds) == expected
+
+    def test_motionless_piece_error(self):
+        # dx = 0 at both ends fits a = b = 0, so no control moves the state
+        t = np.linspace(0.0, 1.0, 4)
+        x = np.array([0.0, 0.3, 0.6, 0.9])
+        dx = np.array([1.0, 0.0, 0.0, 1.0])
+        record = TrajectoryRecord(id="r", label="positive", t=t, x=x, u=[0.5] * 4, dx=dx)
+        partition = TimePartition(t)
+        expected = outcome(per_piece_solve, record, partition, UNIT_BOUNDS)
+        assert expected[0] is InfeasibleTransferError
+        assert "piece 1: no vertex control transfers x=0.3 to 0.6 (a=0, B=[0.])" in expected[1]
+        assert outcome(solve_partition, record, partition, UNIT_BOUNDS) == expected
+
+    def test_piece_off_its_span_error(self):
+        partition = TimePartition([0.0, 1.0, 2.0, 3.0])
+        spans = [(0.0, 1.0), (1.0, 2.0 + 1e-3), (2.0 + 1e-3, 3.0)]
+        pieces = [
+            LinearPiece(A=[[1.0]], B=[[1.0]], t_start=lo, t_end=hi, anchor=[0.0])
+            for lo, hi in spans
+        ]
+        expected = outcome(check_spans, pieces, partition)
+        assert expected == (ValueError, "piece 1 does not match its subinterval [1.0, 2.0]")
+        assert outcome(PiecewiseLinearModel, tuple(pieces), partition) == expected
