@@ -1,8 +1,8 @@
 """Command-line front end: fit models, run solves and refinement, demo cases.
 
-Configuration is a flat key=value file; every key can be overridden by a
-command-line flag of the same name.  Exit codes: 0 success (or converged),
-1 invalid input, 2 refinement budget exhausted before convergence,
+Configuration is a flat key=value file; a command's flags, named after the
+keys it reads, override it.  Exit codes: 0 success (or converged), 1 invalid
+input or usage, 2 refinement budget exhausted before convergence,
 3 infeasible transfer, 4 solver failure (shooting missed or the state
 diverged) on valid input.
 """
@@ -46,32 +46,21 @@ EXIT_SOLVER_FAILURE = 4
 # Demo rows whose computed/reference difference exceeds this are flagged.
 DEMO_FLAG_TOL = 0.01
 
-CONFIG_KEYS = {
-    "problem": str,
-    "data_control": float,
-    "num_pieces": int,
-    "delta": float,
-    "strategy": str,
-    "initial_n": int,
-    "max_refinements": int,
-    "u_min": float,
-    "u_max": float,
-    "step": float,
-    "out": str,
-}
-
-DEFAULTS = {
-    "problem": "example1",
-    "data_control": 0.5,
-    "num_pieces": 2,
-    "delta": 0.05,
-    "strategy": "double",
-    "initial_n": 2,
-    "max_refinements": 8,
-    "u_min": -1.0,
-    "u_max": 1.0,
-    "step": 1e-4,
-    "out": ".",
+# Each setting: its type, its default and the commands that take it as a
+# flag.  A config file may set any of them, since one file can serve several
+# commands.
+SETTINGS = {
+    "problem": (str, "example1", ("fit", "solve", "delta")),
+    "data_control": (float, 0.5, ("fit", "solve", "delta")),
+    "num_pieces": (int, 2, ("fit", "solve")),
+    "delta": (float, 0.05, ("delta",)),
+    "strategy": (str, "double", ("delta",)),
+    "initial_n": (int, 2, ("delta",)),
+    "max_refinements": (int, 8, ("delta",)),
+    "u_min": (float, -1.0, ("solve", "delta")),
+    "u_max": (float, 1.0, ("solve", "delta")),
+    "step": (float, 1e-4, ("fit", "solve", "delta")),
+    "out": (str, ".", ("fit", "solve", "delta")),
 }
 
 
@@ -85,9 +74,12 @@ def read_config(path):
             raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = CONFIG_KEYS[key](value.strip())
+        try:
+            cfg[key] = SETTINGS[key][0](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return cfg
 
 
@@ -104,8 +96,9 @@ def build_parser():
         ("delta", "run partition refinement; write trace.csv and schedule.csv"),
     ):
         p = sub.add_parser(name, help=helptext)
-        for key, typ in CONFIG_KEYS.items():
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None)
+        for key, (typ, _, commands) in SETTINGS.items():
+            if name in commands:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None)
     demo = sub.add_parser("demo", help="reproduce a benchmark case and compare totals")
     demo.add_argument("name", help="benchmark case name, e.g. example1 or example2-case3")
     return parser
@@ -118,11 +111,12 @@ def resolve_settings(args):
     data control and checkpoints, so giving either as well is an error.
     """
     given = read_config(args.config) if args.config else {}
-    for key in CONFIG_KEYS:
+    for key in SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             given[key] = value
-    settings = {**DEFAULTS, **given}
+    settings = {key: default for key, (_, default, _) in SETTINGS.items()}
+    settings.update(given)
     case = BENCHMARK_CASES.get(settings["problem"])
     if case is not None and case.name != "example1":
         clash = [key for key in ("data_control", "num_pieces") if key in given]
@@ -306,18 +300,16 @@ def cmd_demo(name):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means "not converged"
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         if args.command == "demo":
             return cmd_demo(args.name)
-        settings = resolve_settings(args)
-        if args.command == "fit":
-            return cmd_fit(settings)
-        if args.command == "solve":
-            return cmd_solve(settings)
-        if args.command == "delta":
-            return cmd_delta(settings)
-        parser.error(f"unknown command {args.command}")
+        command = {"fit": cmd_fit, "solve": cmd_solve, "delta": cmd_delta}[args.command]
+        return command(resolve_settings(args))
     except (InfeasibleTransferError, InfeasibilityReport) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -10,7 +10,7 @@ maps the anchor to the origin when a target-at-zero frame is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,31 +212,67 @@ class ControlSchedule:
     def constant(cls, u, t_start, t_end):
         return cls(((t_start, t_end, u),))
 
-    def shifted(self, offset):
-        return ControlSchedule(tuple((a + offset, b + offset, u) for (a, b, u) in self.segments))
 
-
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Sampled trajectory: times, states (len x n), controls (len x r)."""
+    """Sampled time series: times, states, controls and optional derivatives.
 
-    t: np.ndarray
-    x: np.ndarray
-    u: np.ndarray = field(default=None)
+    States, controls and derivatives are stored as (samples, dim) arrays; a
+    (dim, samples) input is transposed.  Values between samples are
+    interpolated linearly, per component.
+    """
+
+    t: np.ndarray          # (num_samples,)
+    x: np.ndarray          # (num_samples, n)
+    u: np.ndarray          # (num_samples, r)
+    dx: np.ndarray = None  # (num_samples, n) or None
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if self.x.shape[0] != self.t.size:
-            self.x = self.x.T
-        if self.u is not None:
-            self.u = np.atleast_2d(np.asarray(self.u, dtype=float))
-            if self.u.shape[0] != self.t.size:
-                self.u = self.u.T
+        t = np.asarray(self.t, dtype=float)
+        object.__setattr__(self, "t", t)
+        for name in ("x", "u", "dx"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            values = np.atleast_2d(np.asarray(values, dtype=float))
+            if values.shape[0] != t.size:
+                values = values.T
+            object.__setattr__(self, name, values)
+
+    @property
+    def n(self):
+        return self.x.shape[1]
+
+    @property
+    def r(self):
+        return self.u.shape[1]
+
+    @property
+    def t_start(self):
+        return float(self.t[0])
+
+    @property
+    def t_end(self):
+        return float(self.t[-1])
 
     @property
     def final_state(self):
         return self.x[-1]
+
+    def interp_state(self, t):
+        return self._interp(t, self.x)
+
+    def interp_control(self, t):
+        return self._interp(t, self.u)
+
+    def interp_derivative(self, t):
+        if self.dx is None:
+            raise ValueError("record has no derivative column; run estimate_derivatives first")
+        return self._interp(t, self.dx)
+
+    def _interp(self, t, values):
+        """``values`` at one time, shape (dim,), or at an array of times, (len(t), dim)."""
+        return np.stack([np.interp(t, self.t, column) for column in values.T], axis=-1)
 
 
 def shift_coordinates(piece: LinearPiece, x) -> np.ndarray:

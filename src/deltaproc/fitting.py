@@ -14,7 +14,7 @@ from itertools import chain, compress, count, repeat
 
 import numpy as np
 
-from .dynamics import LinearPiece, PiecewiseLinearModel, TimePartition, as_vector
+from .dynamics import LinearPiece, PiecewiseLinearModel, TimePartition, Trajectory
 from .errors import (
     CoverageError,
     SingularFitError,
@@ -25,33 +25,16 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """A labeled time series of states, controls, and optional derivatives."""
+@dataclass(frozen=True, kw_only=True)
+class TrajectoryRecord(Trajectory):
+    """A :class:`Trajectory` with an id and a label, checked as outside data."""
 
     id: str
     label: str
-    t: np.ndarray          # (num_samples,)
-    x: np.ndarray          # (num_samples, n)
-    u: np.ndarray          # (num_samples, r)
-    dx: np.ndarray = None  # (num_samples, n) or None
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        if x.shape[0] != t.size:
-            x = x.T
-        if u.shape[0] != t.size:
-            u = u.T
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
-        if self.dx is not None:
-            dx = np.atleast_2d(np.asarray(self.dx, dtype=float))
-            if dx.shape[0] != t.size:
-                dx = dx.T
-            object.__setattr__(self, "dx", dx)
+        super().__post_init__()
+        t = self.t
         if self.label not in (POSITIVE, NEGATIVE):
             raise ValueError(f"label must be positive/negative, got {self.label!r}")
         if t.size < 2:
@@ -62,33 +45,6 @@ class TrajectoryRecord:
             raise ValueError(f"record {self.id!r} has non-finite sample time {bad!r}")
         if not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
-
-    @property
-    def n(self):
-        return self.x.shape[1]
-
-    @property
-    def r(self):
-        return self.u.shape[1]
-
-    @property
-    def t_start(self):
-        return float(self.t[0])
-
-    @property
-    def t_end(self):
-        return float(self.t[-1])
-
-    def interp_state(self, t):
-        return np.array([np.interp(t, self.t, self.x[:, j]) for j in range(self.n)])
-
-    def interp_derivative(self, t):
-        if self.dx is None:
-            raise ValueError("record has no derivative column; run estimate_derivatives first")
-        return np.array([np.interp(t, self.t, self.dx[:, j]) for j in range(self.n)])
-
-    def interp_control(self, t):
-        return np.array([np.interp(t, self.t, self.u[:, j]) for j in range(self.r)])
 
 
 @dataclass(frozen=True)
@@ -249,9 +205,9 @@ def _endpoint_solve(rec: TrajectoryRecord, knots):
     conditions or coefficients, u_data = 0) are left to
     :func:`_fit_subinterval`, which falls back to least squares or raises.
     """
-    x = np.interp(knots, rec.t, rec.x[:, 0])
-    dx = np.interp(knots, rec.t, rec.dx[:, 0])
-    u = np.interp(knots[:-1], rec.t, rec.u[:, 0])
+    x = rec.interp_state(knots)[:, 0]
+    dx = rec.interp_derivative(knots)[:, 0]
+    u = rec.interp_control(knots[:-1])[:, 0]
     x_l, x_r = x[:-1], x[1:]
     with np.errstate(all="ignore"):
         a = (dx[1:] - dx[:-1]) / (x_r - x_l)
@@ -283,9 +239,9 @@ def _fit_subinterval(rec: TrajectoryRecord, t_l, t_r):
     if xs.shape[0] < rec.n + rec.r:
         # too few interior samples; synthesize endpoint rows by interpolation
         extra_t = np.linspace(t_l, t_r, rec.n + rec.r + 1)
-        xs = np.vstack([rec.interp_state(tt) for tt in extra_t])
-        us = np.vstack([rec.interp_control(tt) for tt in extra_t])
-        dxs = np.vstack([rec.interp_derivative(tt) for tt in extra_t])
+        xs = rec.interp_state(extra_t)
+        us = rec.interp_control(extra_t)
+        dxs = rec.interp_derivative(extra_t)
     return fit_piece_general(xs, us, dxs)
 
 

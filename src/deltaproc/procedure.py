@@ -77,7 +77,6 @@ class DeltaConfig:
     initial_N: int = 2
     max_refinements: int = 8
     strategy: str = REFINE_DOUBLE
-    weights: PartitionWeights = None
 
     def __post_init__(self):
         if self.delta <= 0.0:
@@ -122,7 +121,6 @@ def solve_partition(
     record: TrajectoryRecord,
     partition: TimePartition,
     bounds: ControlBounds,
-    weights: PartitionWeights = None,
 ) -> PartitionSolution:
     """Fit a model on the partition and chain per-piece minimal-time transfers.
 
@@ -152,7 +150,7 @@ def solve_partition(
         x_start=np.asarray(x_start, dtype=float),
         total_time=float(total),
     )
-    w = weights if weights is not None else PartitionWeights.ones(len(model.pieces))
+    w = PartitionWeights.ones(len(model.pieces))
     result.eq_mean_score = mean_hamiltonian_score(result, w)
     result.eq_deviation_score = hamiltonian_deviation(result, w)
     return result
@@ -236,12 +234,7 @@ def run_delta(record: TrajectoryRecord, config: DeltaConfig) -> DeltaResult:
     converged = False
     gap = np.nan
     for m in range(1, config.max_refinements + 1):
-        weights = (
-            config.weights
-            if config.weights is not None and config.weights.eps.size == partition.num_pieces
-            else None
-        )
-        solution = solve_partition(record, partition, config.bounds, weights)
+        solution = solve_partition(record, partition, config.bounds)
         gap = np.nan if prev_total is None else abs(solution.total_time - prev_total)
         trace.append(
             DeltaTraceEntry(

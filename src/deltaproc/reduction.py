@@ -53,8 +53,6 @@ def rescale_time(trajectory: Trajectory, f0) -> RescaledTrajectory:
     Composite trapezoid on the sample grid; strictly increasing because f0
     must be positive at every sample (else :class:`RescalingDomainError`).
     """
-    if trajectory.u is None:
-        raise ValueError("trajectory needs control samples to evaluate the integrand")
     values = np.array(
         [f0(trajectory.x[i], trajectory.u[i]) for i in range(trajectory.t.size)]
     )

@@ -145,8 +145,11 @@ def _first_passage(flow, x0_rows, goal, step, t_max):
     ``t_max`` itself.  A row that leaves the finite, <= ``BLOWUP_LIMIT``
     region drops out.  The rows that cross in the earliest grid step are
     bisected from their left grid state to ``CHECKPOINT_TOL``.  Returns
-    ``(t, x)`` at the earliest crossing, or None.
+    ``(t, x)`` at the earliest crossing, or None.  Raises ``ValueError`` for a
+    ``step`` that is not positive.
     """
+    if not step > 0:
+        raise ValueError("step must be positive")
     x = np.array(x0_rows, dtype=float)
     at_goal = np.flatnonzero(np.abs(x - goal) < CHECKPOINT_TOL)
     if at_goal.size:

@@ -23,6 +23,7 @@ from deltaproc.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_SOLVER_FAILURE,
+    build_parser,
     main,
 )
 
@@ -254,7 +255,80 @@ class TestDemo:
         assert code == EXIT_INVALID
 
 
+class TestUsage:
+    FLAGS = {
+        "fit": {"--problem", "--data-control", "--num-pieces", "--step", "--out"},
+        "solve": {
+            "--problem", "--data-control", "--num-pieces", "--step", "--out",
+            "--u-min", "--u-max",
+        },
+        "delta": {
+            "--problem", "--data-control", "--delta", "--strategy", "--initial-n",
+            "--max-refinements", "--u-min", "--u-max", "--step", "--out",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["delta", "--delta", "abc"], "invalid float value: 'abc'"),
+            (["bogus"], "invalid choice: 'bogus'"),
+            (["fit", "--delta", "0.3", "--strategy", "nope"], "unrecognized arguments"),
+            (["solve", "--initial-n", "3"], "unrecognized arguments"),
+            (["delta", "--num-pieces", "4"], "unrecognized arguments"),
+        ],
+    )
+    def test_usage_error_exits_invalid(self, tmp_path, capsys, argv, message):
+        # argparse alone would exit 2, the code of an unconverged run
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["delta", "--help"]])
+    def test_help_exits_ok(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        assert "usage: deltaproc" in capsys.readouterr().out
+
+    def test_each_command_takes_the_flags_it_reads(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        flags = {
+            name: {
+                option
+                for action in commands[name]._actions
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            }
+            for name in self.FLAGS
+        }
+        assert flags == self.FLAGS
+        assert sum(map(len, flags.values())) == 22
+
+    @pytest.mark.parametrize("command", ["fit", "delta"])
+    @pytest.mark.parametrize("step", ["0", "-1e-4"])
+    def test_non_positive_step(self, tmp_path, capsys, command, step):
+        code = main([command, "--problem", "example1", f"--step={step}", "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: step must be positive\n"
+        assert not any(tmp_path.iterdir())
+
+
 class TestConfig:
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# settings\nproblem=example1\nnum_pieces=abc\n")
+        assert main(["--config", str(cfg), "fit", "--out", str(tmp_path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:3: num_pieces: ")
+        assert "'abc'" in err
+
+    def test_keys_of_other_commands_accepted(self, tmp_path):
+        # one config file can serve every command
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta=0.3\nstrategy=increment\nu_min=-2\nnum_pieces=2\n")
+        assert main(["--config", str(cfg), "fit", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(read_csv(tmp_path / "model.csv")) == 2
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -207,6 +207,63 @@ class TestSimulateModel:
             simulate_model(model, [np.nan, 0.0], schedule)
 
 
+class TestTrajectory:
+    @staticmethod
+    def random_trajectory(seed=0, m=40):
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.uniform(0.01, 0.2, m))
+        return Trajectory(
+            t, rng.normal(size=(m, 2)), rng.normal(size=(m, 3)), dx=rng.normal(size=(m, 2))
+        )
+
+    def test_integrate_result(self):
+        schedule = ControlSchedule(((0.0, 0.33, [1.0]), (0.33, 0.7, [-1.0])))
+        traj = integrate(TestIntegrate.tan_rhs, [0.0], schedule, step=1e-3)
+        assert isinstance(traj, Trajectory)
+        assert (traj.n, traj.r, traj.t_start, traj.t_end) == (1, 1, 0.0, 0.7)
+        np.testing.assert_array_equal(traj.interp_state(traj.t[100]), traj.x[100])
+        assert traj.interp_state(0.7)[0] == traj.final_state[0]
+        np.testing.assert_array_equal(traj.interp_control(0.5), [-1.0])
+
+    def test_simulate_model_result(self):
+        model, schedule = TestSimulateModel.model_and_schedule()
+        traj = simulate_model(model, [0.8, -0.4], schedule)
+        assert isinstance(traj, Trajectory)
+        assert (traj.n, traj.r, traj.t_end) == (2, 2, 1.2)
+        np.testing.assert_array_equal(traj.interp_state(1.2), traj.final_state)
+        middle = 0.5 * (traj.t[10] + traj.t[11])
+        np.testing.assert_allclose(
+            traj.interp_state(middle), 0.5 * (traj.x[10] + traj.x[11]), rtol=1e-12
+        )
+
+    def test_interp_at_array_equals_per_time(self):
+        traj = self.random_trajectory()
+        # sample times, times between samples and times outside the span
+        times = np.concatenate(
+            [traj.t[::7], np.linspace(traj.t_start - 0.5, traj.t_end + 0.5, 57)]
+        )
+        for interp, dim in (
+            (traj.interp_state, 2),
+            (traj.interp_control, 3),
+            (traj.interp_derivative, 2),
+        ):
+            one_by_one = np.array([interp(tt) for tt in times])
+            assert one_by_one.shape == (times.size, dim)
+            np.testing.assert_array_equal(interp(times), one_by_one, strict=True)
+
+    def test_dim_by_samples_input_transposed(self):
+        traj = self.random_trajectory()
+        flipped = Trajectory(list(traj.t), traj.x.T, traj.u.T, dx=traj.dx.T)
+        for name in ("t", "x", "u", "dx"):
+            np.testing.assert_array_equal(getattr(flipped, name), getattr(traj, name), strict=True)
+
+    def test_no_derivatives(self):
+        traj = Trajectory([0.0, 1.0], [0.0, 1.0], [1.0, 1.0])
+        assert traj.dx is None
+        with pytest.raises(ValueError, match="no derivative column"):
+            traj.interp_derivative(0.5)
+
+
 class TestDomainTypes:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):

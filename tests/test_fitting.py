@@ -10,6 +10,7 @@ from deltaproc import (
     FitConditions,
     SingularFitError,
     TimePartition,
+    Trajectory,
     TrajectoryParseError,
     TrajectoryRecord,
     estimate_derivatives,
@@ -180,6 +181,27 @@ class TestFitPieceGeneral:
 
 
 class TestRecord:
+    def test_is_a_trajectory(self):
+        rec = scalar_record([0.0, 0.5, 1.0], [0.0, 0.2, 0.5], [0.5] * 3)
+        assert isinstance(rec, Trajectory)
+        assert (rec.n, rec.r, rec.t_end) == (1, 1, 1.0)
+        np.testing.assert_array_equal(rec.interp_state([0.25, 1.0]), [[0.1], [0.5]])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"label": "maybe"}, "label must be positive/negative, got 'maybe'"),
+            ({"t": [0.0], "x": [0.0], "u": [0.5]}, "a record needs at least two samples"),
+            ({"t": [0.0, 1.0, 1.0]}, "sample times must be strictly increasing"),
+        ],
+    )
+    def test_checks(self, fields, message):
+        data = {"id": "a", "label": "positive", "t": [0.0, 1.0, 2.0], "x": [0.0, 0.5, 1.0],
+                "u": [0.5] * 3, **fields}
+        with pytest.raises(ValueError) as info:
+            TrajectoryRecord(**data)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_time_named(self, bad):
         with pytest.raises(ValueError) as info:

@@ -399,3 +399,20 @@ class TestFirstPassageSweep:
         )
         with pytest.raises(TypeError, match="elementwise"):
             brute_force_min_time(problem)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3])
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda step: sample_reference(example1(), 1.0, (0.0, 1.0), step=step),
+            lambda step: dense_reference_record(example1(), 1.0, step=step),
+            lambda step: brute_force_min_time(example1(), step=step),
+            lambda step: brute_force_min_time(
+                scalar_model((0.5, 0.5, 0.5)), UNIT_BOUNDS, step=step, x_start=[0.0]
+            ),
+        ],
+        ids=["sample_reference", "dense_reference_record", "plant_oracle", "model_oracle"],
+    )
+    def test_non_positive_step_rejected(self, search, step):
+        with pytest.raises(ValueError, match="^step must be positive$"):
+            search(step)
