@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from pathlib import Path
 
@@ -102,6 +103,23 @@ def build_parser():
     demo = sub.add_parser("demo", help="reproduce a benchmark case and compare totals")
     demo.add_argument("name", help="benchmark case name, e.g. example1 or example2-case3")
     return parser
+
+
+def parse_args(argv):
+    """Parse ``argv`` with :func:`build_parser`, negative values included.
+
+    argparse takes only plain negative decimals such as ``-2.0`` for values
+    and reads ``-1e-4`` as an option, so a negative number after a flag is
+    attached to it as ``--flag=-1e-4`` first.
+    """
+    value_flags = {"--config"} | {f"--{key.replace('_', '-')}" for key in SETTINGS}
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in value_flags and re.match(r"-\.?\d", arg):
+            joined[-1] = f"{joined[-1]}={arg}"
+        else:
+            joined.append(arg)
+    return build_parser().parse_args(joined)
 
 
 def resolve_settings(args):
@@ -299,9 +317,8 @@ def cmd_demo(name):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, which here means "not converged"
         return EXIT_INVALID if exc.code else EXIT_OK

@@ -12,9 +12,10 @@ passage to the goal on a time grid, with no costates.  One sweep,
 ``_first_passage``, serves the checkpoint sampler, the dense sampler and both
 oracles.  It advances a batch of scalar rows under a flow: the nonlinear
 plant stepped with RK4, or a fitted affine piece's exact flow.  The plant
-oracle sweeps one row per control level, so the plant's ``rhs`` must be
-elementwise: equal-length state and control vectors in, a derivative vector
-of that length out.
+oracle sweeps one row per control level and the samplers sweep one row on
+Python floats, so the plant's ``rhs`` must be elementwise under numpy
+broadcasting: equal-length state and control vectors in, a derivative vector
+of that length out, and Python scalars in, a scalar out.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class ReferenceProblem:
     """A ground-truth plant with known boundary states and optional optimum."""
 
     name: str
-    rhs: callable  # rhs(x, u) -> dx/dt, elementwise over equal-length x and u
+    rhs: callable  # rhs(x, u) -> dx/dt, elementwise: equal-length x and u, or scalars
     bounds: ControlBounds
     x_start: np.ndarray
     x_goal: np.ndarray
@@ -64,7 +65,7 @@ def example1() -> ReferenceProblem:
     """Scalar benchmark dx/dt = x^2 + u^2, transfer 0 -> 1, u in [-1, 1]."""
 
     def rhs(x, u):
-        return np.atleast_1d(x) ** 2 + np.atleast_1d(u) ** 2
+        return np.square(x) + np.square(u)
 
     return ReferenceProblem(
         name="example1",
@@ -104,14 +105,30 @@ def _rk4_flow(rhs, u):
     """Flow of dx/dt = rhs(x, u) stepped with RK4, all rows at once.
 
     Each call fills up to ``_RK4_BLOCK`` grid states, one ``rk4_step`` each.
-    ``rhs`` must be elementwise over the rows of ``x`` and ``u``.
+    ``rhs`` must be elementwise over the rows of ``x`` and ``u``.  A single
+    row steps on Python floats: numpy's per-call overhead on one-element
+    arrays costs several times the arithmetic, and float operations round
+    exactly as the elementwise array ones do.  An ``rhs`` that returns an
+    array for scalar input still works, at array speed.  Where float
+    arithmetic raises instead, the row leaves the finite region as it would
+    on arrays.
     """
-    f = lambda t, x, uu: np.asarray(rhs(x, uu), dtype=float)
+
+    def f(t, x, uu):
+        dx = rhs(x, uu)
+        return float(dx) if isinstance(dx, float) else np.asarray(dx, dtype=float)
 
     def flow(x, h, steps):
         xs = np.empty((x.size, min(steps, _RK4_BLOCK)))
+        uu = u
+        if x.size == 1:  # h is one value per row in the bisection
+            x, uu, h = float(x[0]), float(u[0]), float(np.ravel(h)[0])
         for j in range(xs.shape[1]):
-            x = rk4_step(f, 0.0, x, u, h)
+            try:
+                x = rk4_step(f, 0.0, x, uu, h)
+            except (OverflowError, ZeroDivisionError):  # numpy gives inf or nan
+                xs[:, j:] = np.nan
+                break
             xs[:, j] = x
         return xs
 

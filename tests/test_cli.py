@@ -25,6 +25,7 @@ from deltaproc.cli import (
     EXIT_SOLVER_FAILURE,
     build_parser,
     main,
+    parse_args,
 )
 
 
@@ -311,6 +312,18 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err == "error: step must be positive\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["fit", "delta"])
+    def test_negative_step_after_a_space(self, tmp_path, capsys, command):
+        code = main([command, "--problem", "example1", "--step", "-1e-4", "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == "error: step must be positive\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value, expected", [("-1e-1", -0.1), ("-.5", -0.5), ("-2", -2.0)])
+    def test_negative_value_after_a_space(self, value, expected):
+        args = parse_args(["delta", "--u-min", value, "--u-max", "1e-1"])
+        assert (args.u_min, args.u_max) == (expected, 0.1)
 
 
 class TestConfig:

@@ -416,3 +416,116 @@ class TestFirstPassageSweep:
     def test_non_positive_step_rejected(self, search, step):
         with pytest.raises(ValueError, match="^step must be positive$"):
             search(step)
+
+
+def rk4_array_passage(u, x0, goal, step):
+    """First passage of example 1 from ``x0`` to ``goal``, on one-element arrays.
+
+    A per-step RK4 as the plant oracle's batch steps its rows: grid steps
+    until one ends at or above the goal, then the bisection of that step to
+    1e-10 from its left state.  Returns the time, the state
+    found and the grid states from ``x0`` up to the crossing step's left end.
+    """
+    uu = np.array([u])
+
+    def rk4(x, h):
+        f = lambda y: y**2 + uu**2
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    x = np.array([x0])
+    if abs(x0 - goal) < 1e-10:
+        return 0.0, x0, [x0]
+    grid = [x0]
+    x_next = rk4(x, step)
+    while x_next[0] < goal:
+        x = x_next
+        grid.append(float(x[0]))
+        x_next = rk4(x, step)
+    lo, hi = np.zeros(1), np.full(1, step)
+    while np.any(hi - lo >= 1e-10):
+        mid = 0.5 * (lo + hi)
+        short = rk4(x, mid)[0] < goal
+        lo, hi = (mid, hi) if short else (lo, mid)
+    dt = 0.5 * (lo + hi)
+    return float((len(grid) - 1) * step + dt[0]), float(rk4(x, dt)[0]), grid
+
+
+class TestOneRowOnFloats:
+    @pytest.mark.parametrize(
+        "rhs",
+        [example1().rhs, lambda x, u: np.atleast_1d(x) ** 2 + np.atleast_1d(u) ** 2],
+        ids=["example1", "atleast_1d"],
+    )
+    @pytest.mark.parametrize("x0, goal", [(0.0, 1.0), (0.3, 0.5)])
+    def test_row_alone_equals_row_in_batch(self, rhs, x0, goal):
+        # u = 0.8 is the fastest level, so the batch's earliest crossing is its own
+        batch = np.array([0.3, 0.8, -0.5, 0.6])
+        alone = reference._first_passage(
+            reference._rk4_flow(rhs, batch[1:2]), [x0], goal, 1e-3, 10.0
+        )
+        in_batch = reference._first_passage(
+            reference._rk4_flow(rhs, batch), np.full(batch.size, x0), goal, 1e-3, 10.0
+        )
+        assert alone == in_batch
+
+    def test_one_row_steps_on_python_floats(self):
+        # a 0-d array in the loop would keep the bits but lose the speed
+        seen = set()
+
+        def rhs(x, u):
+            seen.add((type(x), type(u)))
+            return np.square(x) + np.square(u)
+
+        hit = reference._first_passage(
+            reference._rk4_flow(rhs, np.array([1.0])), [0.0], 0.5, 1e-3, 10.0
+        )
+        assert hit is not None
+        assert seen == {(float, float)}
+
+    @pytest.mark.parametrize(
+        "rhs, x_start, checkpoint",
+        [
+            (lambda x, u: x**2 + u**2, 0.0, -0.5),  # float ** overflows past the escape
+            (lambda x, u: u / x, 0.0, 1.0),  # float division by zero at the start
+        ],
+        ids=["overflow", "zero_division"],
+    )
+    def test_float_arithmetic_errors_escape_as_on_arrays(self, rhs, x_start, checkpoint):
+        problem = ReferenceProblem(
+            name="plain-python",
+            rhs=rhs,
+            bounds=UNIT_BOUNDS,
+            x_start=np.array([x_start]),
+            x_goal=np.array([1.0]),
+        )
+        with np.errstate(divide="ignore"), pytest.raises(GenerationError, match="unreachable"):
+            sample_reference(problem, 0.5, (checkpoint,), step=1e-3)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CASES))
+    def test_benchmark_cases_equal_array_rk4(self, name):
+        case = BENCHMARK_CASES[name]
+        record = sample_reference(example1(), case.u_data, case.checkpoints)
+        t, x, ts, xs = 0.0, 0.0, [], []
+        for goal in case.checkpoints:
+            dt, x, _ = rk4_array_passage(case.u_data, x, goal, 1e-4)
+            t += dt
+            ts.append(t)
+            xs.append(x)
+        np.testing.assert_array_equal(record.t, np.array(ts), strict=True)
+        np.testing.assert_array_equal(record.x[:, 0], np.array(xs), strict=True)
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-4])
+    @pytest.mark.parametrize("u", [0.5, 1.0])
+    def test_dense_record_equals_array_rk4(self, u, step):
+        record = dense_reference_record(example1(), u, step=step)
+        horizon, x_hit, grid = rk4_array_passage(u, 0.0, 1.0, step)
+        ts = np.linspace(0.0, horizon, 2001)
+        grid_t = step * np.arange(len(grid))
+        xs = np.interp(ts, np.append(grid_t, horizon), np.append(grid, x_hit))
+        np.testing.assert_array_equal(record.t, ts, strict=True)
+        np.testing.assert_array_equal(record.x[:, 0], xs, strict=True)
+        np.testing.assert_array_equal(record.dx[:, 0], xs**2 + u**2, strict=True)
