@@ -1,4 +1,4 @@
-"""Core state-space types, piecewise-linear models, and fixed-step integration.
+"""Core state-space types, piecewise-linear models, exact replay and RK4 integration.
 
 States and controls are plain 1-D numpy arrays.  A ``LinearPiece`` holds one
 subinterval's constant ``(A, B)`` pair together with the anchor state (the
@@ -19,8 +19,13 @@ from .errors import DimensionMismatchError, DivergenceError
 # Magnitude above which a trajectory is declared divergent.
 BLOWUP_LIMIT = 1e12
 
-# Default number of integration steps per piece.
-STEPS_PER_PIECE = 2000
+
+# scipy serves only n >= 2 transitions and shooting, so it is imported on the
+# first such call and scalar runs never load it.
+def expm(a):
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def as_vector(x, name="vector"):
@@ -316,9 +321,29 @@ def rk4_step(rhs, t, x, u, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_finite(x, t):
+def affine_transition(A, dt):
+    """(Phi, G) with x(dt) = Phi x(0) + G v under dx/dt = A x + v, v constant.
+
+    For n >= 2 both blocks come from one augmented exponential (Van Loan, IEEE
+    TAC 1978): expm([[A dt, I dt], [0, 0]]) = [[Phi, G], [0, I]], with
+    G = int_0^dt expm(A s) ds.  A 1x1 ``A`` = [[a]] takes the closed form
+    exp(a dt) and expm1(a dt)/a (dt when a = 0), without scipy.
+    """
+    n = A.shape[0]
+    if n == 1:
+        a = A[0, 0]
+        gain = dt if a == 0.0 else np.expm1(a * dt) / a
+        return np.array([[np.exp(a * dt)]]), np.array([[gain]])
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = A * dt
+    M[:n, n:] = np.eye(n) * dt
+    E = expm(M)
+    return E[:n, :n], E[:n, n:]
+
+
+def _check_finite(x, t_valid):
     if not np.all(np.isfinite(x)) or np.any(np.abs(x) > BLOWUP_LIMIT):
-        raise DivergenceError(f"state diverged near t={t:.6g}", last_valid_time=t)
+        raise DivergenceError(f"state diverged after t={t_valid:.6g}", last_valid_time=t_valid)
 
 
 def integrate(rhs, x0, schedule: ControlSchedule, step) -> Trajectory:
@@ -343,50 +368,41 @@ def integrate(rhs, x0, schedule: ControlSchedule, step) -> Trajectory:
             if h <= 0:
                 break
             x = rk4_step(rhs, t, x, u, h)
+            _check_finite(x, float(t))
             t = next_t
-            _check_finite(x, t)
             times.append(t)
             states.append(x.copy())
             controls.append(u.copy())
     return Trajectory(np.array(times), np.array(states), np.array(controls))
 
 
-def simulate_model(model: PiecewiseLinearModel, x0, schedule: ControlSchedule, step=None) -> Trajectory:
-    """Simulate a piecewise-linear model, switching pieces with the schedule's clock.
+def simulate_model(model: PiecewiseLinearModel, x0, schedule: ControlSchedule) -> Trajectory:
+    """Replay a piecewise-linear model exactly under a control schedule.
 
-    The piece active at time t is looked up from the model's partition scaled
-    onto the schedule span proportionally by segment index: each schedule
-    segment k uses piece k (one transfer segment per piece).  The state and
-    every segment's control are checked against their pieces before any step.
-    Each segment is stepped with RK4 on its own uniform grid from its start to
-    its end: ``STEPS_PER_PIECE`` steps, or the fewest steps no longer than
-    ``step`` when it is given.  Raises :class:`DivergenceError` when the state
-    blows up.
+    Schedule segment k uses piece k (one transfer segment per piece).  The
+    state and every segment's control are checked against their pieces before
+    any segment is replayed.  Each piece is affine with its control held, so
+    one :func:`affine_transition` carries the state across its segment.  The
+    result holds the state at the schedule start and at every segment end.
+    Raises :class:`DivergenceError` when the state blows up, with the start of
+    the failing segment as its last valid time.
     """
     if len(schedule.segments) != len(model.pieces):
         raise ValueError("schedule must have one segment per model piece")
-    if step is not None and step <= 0:
-        raise ValueError("step must be positive")
-    x = as_vector(x0, "x0").copy()
+    x = as_vector(x0, "x0")
     for piece, (_, _, u) in zip(model.pieces, schedule.segments):
         if x.size != piece.n:
             raise DimensionMismatchError(f"state dim {x.size} != piece dim {piece.n}")
         if u.size != piece.r:
             raise DimensionMismatchError(f"control dim {u.size} != piece input dim {piece.r}")
-    all_t, all_x, all_u = [[schedule.t_start]], [[x]], [[schedule.segments[0][2]]]
-    for piece, (seg_start, seg_end, u) in zip(model.pieces, schedule.segments):
-        span = seg_end - seg_start
-        steps = STEPS_PER_PIECE if step is None else max(1, int(np.ceil(span / step - 1e-9)))
-        h = span / steps
-        # the control is constant on the segment, so B u is too
-        rhs = lambda t, xx, uu, A=piece.A, bu=piece.B @ u: A @ xx + bu
-        times = np.linspace(seg_start, seg_end, steps + 1)
-        states = np.empty((steps, x.size))
-        for k in range(steps):
-            x = rk4_step(rhs, times[k], x, u, h)
-            _check_finite(x, times[k + 1])
-            states[k] = x
-        all_t.append(times[1:])
-        all_x.append(states)
-        all_u.append(np.tile(u, (steps, 1)))
-    return Trajectory(np.concatenate(all_t), np.concatenate(all_x), np.concatenate(all_u))
+    times, states, controls = [schedule.t_start], [x], [schedule.segments[0][2]]
+    # an overflow shows as a DivergenceError, not as a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for piece, (seg_start, seg_end, u) in zip(model.pieces, schedule.segments):
+            phi, gain = affine_transition(piece.A, seg_end - seg_start)
+            x = phi @ x + gain @ (piece.B @ u)
+            _check_finite(x, seg_start)
+            times.append(seg_end)
+            states.append(x)
+            controls.append(u)
+    return Trajectory(np.array(times), np.array(states), np.array(controls))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import BLOWUP_LIMIT, ControlBounds, ControlSchedule, LinearPiece, as_vector
+from .dynamics import affine_transition, expm
 from .errors import (
     DimensionMismatchError,
     InfeasibleTransferError,
@@ -29,13 +30,8 @@ SCAN_STEPS = 400
 
 
 # scipy serves only n >= 2 shooting, so it is imported on the first such call
-# and scalar runs never load it.  The solver calls through these module names.
-def expm(a):
-    from scipy.linalg import expm as scipy_expm
-
-    return scipy_expm(a)
-
-
+# and scalar runs never load it.  The solver calls ``expm`` and this wrapper
+# through their module names here.
 def least_squares(fun, x0, **kwargs):
     from scipy.optimize import least_squares as scipy_least_squares
 
@@ -277,20 +273,6 @@ def _sphere_directions(n, count, seed=0):
     return dirs
 
 
-def _affine_transition(A, dt):
-    """(Phi, G) with x(dt) = Phi x(0) + G v under dx/dt = A x + v, v constant.
-
-    Both blocks come from one augmented exponential (Van Loan, IEEE TAC 1978):
-    expm([[A dt, I dt], [0, 0]]) = [[Phi, G], [0, I]], G = int_0^dt expm(A s) ds.
-    """
-    n = A.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A * dt
-    M[:n, n:] = np.eye(n) * dt
-    E = expm(M)
-    return E[:n, :n], E[:n, n:]
-
-
 def _costate_grid(piece, psi0, horizon, samples):
     """psi(t_i) = expm(-A^T t_i) psi0 on ``samples`` uniform times over [0, horizon].
 
@@ -334,12 +316,6 @@ def _switch_times(piece, psi0, horizon, samples=2001):
     return sorted(switches), psi
 
 
-def _propagate_segment(piece, x, u, dt):
-    """Exact state propagation under constant control."""
-    phi, gain = _affine_transition(piece.A, dt)
-    return phi @ x + gain @ (piece.B @ u)
-
-
 def _terminal_state(piece, x_from, bounds, psi0, T):
     """State at time T under the bang-bang control induced by psi0."""
     if T <= 0.0:
@@ -350,7 +326,8 @@ def _terminal_state(piece, x_from, bounds, psi0, T):
     controls = []
     for lo, hi in zip(knots, knots[1:]):
         u = extremal_control(piece, psi(0.5 * (lo + hi)), bounds)
-        x = _propagate_segment(piece, x, u, hi - lo)
+        phi, gain = affine_transition(piece.A, hi - lo)
+        x = phi @ x + gain @ (piece.B @ u)
         controls.append((lo, hi, u))
     return x, controls, psi
 
@@ -365,7 +342,7 @@ def _scan_directions(piece, x_from, bounds, directions, t_max, steps):
     on.  Rows that never take a finite step keep miss inf and time nan.
     """
     h = t_max / steps
-    phi, gain = _affine_transition(piece.A, h)
+    phi, gain = affine_transition(piece.A, h)
     psi_step = expm(-piece.A.T * h)
     drive = gain @ piece.B  # (n, r)
     psis = np.array(directions, dtype=float)

@@ -395,6 +395,8 @@ SCALAR_RUN = textwrap.dedent(
     reference.brute_force_min_time(plant, step=1e-3)
     model = deltaproc.fit_model(record, deltaproc.TimePartition(record.t))
     reference.brute_force_min_time(model, plant.bounds, x_start=[0.0])
+    solution = deltaproc.solve_partition(record, model.partition, plant.bounds)
+    deltaproc.simulate_model(model, record.x[0], solution.schedule)
     scalar_loads_scipy = "scipy" in sys.modules
     piece = deltaproc.LinearPiece(
         A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], t_start=0.0, t_end=1.0,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -108,6 +110,14 @@ class TestIntegrate:
         assert info.value.last_valid_time <= 1.6
         assert info.value.last_valid_time > 1.5
 
+    def test_divergence_names_last_finite_time(self):
+        rhs = lambda t, x, u: np.where(t > 0.5, np.inf, np.zeros_like(x))
+        schedule = ControlSchedule.constant([1.0], 0.0, 1.0)
+        with pytest.raises(DivergenceError) as info:
+            integrate(rhs, [1.0], schedule, 0.1)
+        assert type(info.value.last_valid_time) is float
+        assert info.value.last_valid_time == pytest.approx(0.5)
+
     def test_fourth_order_convergence(self):
         exact = np.tan(0.7)
         errors = []
@@ -125,6 +135,35 @@ class TestIntegrate:
         assert traj.final_state[0] == pytest.approx(0.33, abs=1e-12)
 
 
+DOUBLE_INTEGRATOR = [[0.0, 1.0], [0.0, 0.0]]
+
+
+class TestAffineTransition:
+    def test_double_integrator_closed_form(self):
+        phi, gain = dynamics.affine_transition(np.array(DOUBLE_INTEGRATOR), 0.3)
+        np.testing.assert_allclose(phi, [[1.0, 0.3], [0.0, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(gain, [[0.3, 0.045], [0.0, 0.3]], atol=1e-15)
+
+    def test_matches_augmented_exponential(self):
+        A = np.array([[0.2, 1.0], [-0.5, 0.1]])
+        v = np.array([0.4, -1.1])
+        M = np.zeros((3, 3))
+        M[:2, :2] = A * 0.7
+        M[:2, 2] = v * 0.7
+        expected = expm(M) @ np.array([0.3, 0.9, 1.0])
+        phi, gain = dynamics.affine_transition(A, 0.7)
+        np.testing.assert_allclose(phi @ [0.3, 0.9] + gain @ v, expected[:2], rtol=1e-13)
+
+    @pytest.mark.parametrize("a", [-3.0, -1e-9, 0.0, 1e-9, 2.0])
+    def test_scalar_closed_form_matches_augmented_exponential(self, a):
+        dt = 0.7
+        expected = expm(np.array([[a * dt, dt], [0.0, 0.0]]))
+        phi, gain = dynamics.affine_transition(np.array([[a]]), dt)
+        assert phi.shape == gain.shape == (1, 1)
+        np.testing.assert_allclose(phi[0, 0], expected[0, 0], rtol=1e-13)
+        np.testing.assert_allclose(gain[0, 0], expected[0, 1], rtol=1e-13)
+
+
 class TestSimulateModel:
     @staticmethod
     def model_and_schedule():
@@ -139,50 +178,67 @@ class TestSimulateModel:
         return model, schedule
 
     @staticmethod
-    def reference_simulation(model, x0, schedule):
-        """Piece by piece with the validating evaluate_rhs, each segment on its
-        own grid of STEPS_PER_PIECE equal steps."""
+    def augmented_chain(model, x0, schedule):
+        """States at the schedule start and each segment end, written with the
+        augmented exponential expm([[A, B u], [0, 0]] dt) that carries (x, 1)."""
         x = np.asarray(x0, dtype=float)
-        all_t, all_x, all_u = [schedule.t_start], [x.copy()], [schedule.segments[0][2].copy()]
+        states = [x]
         for piece, (seg_start, seg_end, u) in zip(model.pieces, schedule.segments):
-            steps = dynamics.STEPS_PER_PIECE
-            h = (seg_end - seg_start) / steps
-            times = np.linspace(seg_start, seg_end, steps + 1)
-            rhs = lambda t, xx, uu, p=piece: evaluate_rhs(p, xx, uu)
-            for k in range(steps):
-                x = dynamics.rk4_step(rhs, times[k], x, u, h)
-                all_t.append(times[k + 1])
-                all_x.append(x.copy())
-                all_u.append(u.copy())
-        return Trajectory(np.array(all_t), np.array(all_x), np.array(all_u))
+            n, dt = piece.n, seg_end - seg_start
+            M = np.zeros((n + 1, n + 1))
+            M[:n, :n] = piece.A * dt
+            M[:n, n] = piece.B @ u * dt
+            x = (expm(M) @ np.append(x, 1.0))[:n]
+            states.append(x)
+        return np.array(states)
 
-    def test_equals_evaluate_rhs_integration(self):
-        model, schedule = self.model_and_schedule()
-        traj = simulate_model(model, [0.8, -0.4], schedule)
-        expected = self.reference_simulation(model, [0.8, -0.4], schedule)
-        np.testing.assert_array_equal(traj.t, expected.t)
-        np.testing.assert_array_equal(traj.x, expected.x)
-        np.testing.assert_array_equal(traj.u, expected.u)
-
-    def test_each_segment_on_its_own_uniform_grid(self):
-        # (0.37, 1.2) starts off a multiple of its own step; it must still take
-        # exactly STEPS_PER_PIECE equal steps, with no sliver at its end
+    def test_matches_augmented_exponential_chain(self):
         model, schedule = self.model_and_schedule()
         x0 = np.array([0.8, -0.4])
         traj = simulate_model(model, x0, schedule)
-        steps = dynamics.STEPS_PER_PIECE
-        assert traj.t.size == 2 * steps + 1
-        x = x0
-        for k, (piece, (seg_start, seg_end, u)) in enumerate(zip(model.pieces, schedule.segments)):
-            seg_t = traj.t[k * steps : (k + 1) * steps + 1]
-            assert seg_t[0] == seg_start and seg_t[-1] == seg_end
-            np.testing.assert_allclose(np.diff(seg_t), (seg_end - seg_start) / steps, rtol=1e-9)
-            # exact affine flow: expm([[A, B u], [0, 0]] dt) carries (x, 1)
-            M = np.zeros((3, 3))
-            M[:2, :2] = piece.A * (seg_end - seg_start)
-            M[:2, 2] = piece.B @ u * (seg_end - seg_start)
-            x = (expm(M) @ np.append(x, 1.0))[:2]
-        np.testing.assert_allclose(traj.x[-1], x, rtol=0, atol=1e-9)
+        expected = self.augmented_chain(model, x0, schedule)
+        np.testing.assert_allclose(traj.x, expected, rtol=0, atol=1e-12)
+
+    def test_samples_at_segment_ends_without_rk4(self, monkeypatch):
+        model, schedule = self.model_and_schedule()
+        steps = []
+        original = dynamics.rk4_step
+        monkeypatch.setattr(
+            dynamics, "rk4_step", lambda *args: steps.append(1) or original(*args)
+        )
+        traj = simulate_model(model, [0.8, -0.4], schedule)
+        np.testing.assert_array_equal(traj.t, [0.0, 0.37, 1.2])
+        np.testing.assert_array_equal(traj.u, [[1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        assert steps == []
+
+    def test_scalar_piece_matches_augmented_exponential(self):
+        piece = make_piece(-0.7, 1.3, 0.0, t_end=2.0)
+        model = PiecewiseLinearModel((piece,), TimePartition([0.0, 2.0]))
+        schedule = ControlSchedule.constant([0.6], 0.0, 1.5)
+        traj = simulate_model(model, [0.4], schedule)
+        expected = self.augmented_chain(model, [0.4], schedule)
+        np.testing.assert_allclose(traj.x, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "pieces, segments, last_valid_time",
+        [
+            ([make_piece(800.0, 1.0, 0.0)], [(0.0, 1.0, [1.0])], 0.0),
+            (
+                [make_piece(0.5, 1.0, 0.0), make_piece(800.0, 1.0, 0.0, 1.0, 2.0)],
+                [(0.0, 0.25, [1.0]), (0.25, 1.25, [1.0])],
+                0.25,
+            ),
+        ],
+    )
+    def test_overflow_raises_divergence_at_segment_start(self, pieces, segments, last_valid_time):
+        # a = 800 over 1 s: exp(800) overflows a float
+        knots = [piece.t_start for piece in pieces] + [pieces[-1].t_end]
+        model = PiecewiseLinearModel(pieces, TimePartition(knots))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                simulate_model(model, [1.0], ControlSchedule(segments))
+        assert info.value.last_valid_time == last_valid_time
 
     @pytest.mark.parametrize(
         "x0, last_u",
@@ -193,10 +249,11 @@ class TestSimulateModel:
         (s0, e0, u0), (s1, e1, _) = schedule.segments
         schedule = ControlSchedule(((s0, e0, u0), (s1, e1, last_u)))
         steps = []
-        original = dynamics.rk4_step
-        monkeypatch.setattr(
-            dynamics, "rk4_step", lambda *args: steps.append(1) or original(*args)
-        )
+        for name in ("rk4_step", "affine_transition"):
+            original = getattr(dynamics, name)
+            monkeypatch.setattr(
+                dynamics, name, lambda *args, f=original: steps.append(1) or f(*args)
+            )
         with pytest.raises(DimensionMismatchError):
             simulate_model(model, x0, schedule)
         assert steps == []
@@ -231,9 +288,9 @@ class TestTrajectory:
         assert isinstance(traj, Trajectory)
         assert (traj.n, traj.r, traj.t_end) == (2, 2, 1.2)
         np.testing.assert_array_equal(traj.interp_state(1.2), traj.final_state)
-        middle = 0.5 * (traj.t[10] + traj.t[11])
+        middle = 0.5 * (traj.t[0] + traj.t[1])
         np.testing.assert_allclose(
-            traj.interp_state(middle), 0.5 * (traj.x[10] + traj.x[11]), rtol=1e-12
+            traj.interp_state(middle), 0.5 * (traj.x[0] + traj.x[1]), rtol=1e-12
         )
 
     def test_interp_at_array_equals_per_time(self):

@@ -260,23 +260,6 @@ def seeded_states(seed, count, offsets):
     return states
 
 
-class TestAffineTransition:
-    def test_double_integrator_closed_form(self):
-        phi, gain = pontryagin._affine_transition(np.array(DOUBLE_INTEGRATOR), 0.3)
-        np.testing.assert_allclose(phi, [[1.0, 0.3], [0.0, 1.0]], atol=1e-15)
-        np.testing.assert_allclose(gain, [[0.3, 0.045], [0.0, 0.3]], atol=1e-15)
-
-    def test_matches_augmented_exponential(self):
-        A = np.array([[0.2, 1.0], [-0.5, 0.1]])
-        v = np.array([0.4, -1.1])
-        M = np.zeros((3, 3))
-        M[:2, :2] = A * 0.7
-        M[:2, 2] = v * 0.7
-        expected = expm(M) @ np.array([0.3, 0.9, 1.0])
-        phi, gain = pontryagin._affine_transition(A, 0.7)
-        np.testing.assert_allclose(phi @ [0.3, 0.9] + gain @ v, expected[:2], rtol=1e-13)
-
-
 class TestBatchedScan:
     @staticmethod
     def scan_one(piece, x_from, psi0, t_max, steps):
