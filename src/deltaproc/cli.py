@@ -33,6 +33,7 @@ from .procedure import (
 )
 from .reference import (
     BENCHMARK_CASES,
+    check_step,
     dense_reference_record,
     example1,
     sample_reference,
@@ -60,7 +61,8 @@ SETTINGS = {
     "max_refinements": (int, 8, ("delta",)),
     "u_min": (float, -1.0, ("solve", "delta")),
     "u_max": (float, 1.0, ("solve", "delta")),
-    "step": (float, 1e-4, ("fit", "solve", "delta")),
+    # None leaves the grid step to the sampler's own default
+    "step": (float, None, ("fit", "solve", "delta")),
     "out": (str, ".", ("fit", "solve", "delta")),
 }
 
@@ -126,7 +128,8 @@ def resolve_settings(args):
     """Defaults, then the config file, then the flags.
 
     A benchmark case other than ``example1`` as the problem brings its own
-    data control and checkpoints, so giving either as well is an error.
+    data control and checkpoints, so giving either as well is an error.  A
+    given step is checked here, since a CSV problem never samples with it.
     """
     given = read_config(args.config) if args.config else {}
     for key in SETTINGS:
@@ -135,6 +138,8 @@ def resolve_settings(args):
             given[key] = value
     settings = {key: default for key, (_, default, _) in SETTINGS.items()}
     settings.update(given)
+    if settings["step"] is not None:
+        check_step(settings["step"])
     case = BENCHMARK_CASES.get(settings["problem"])
     if case is not None and case.name != "example1":
         clash = [key for key in ("data_control", "num_pieces") if key in given]
@@ -163,21 +168,23 @@ def _load_record(settings, dense):
     """Built-in reference data or the first positive record of a CSV file.
 
     ``example1`` samples the plant at ``num_pieces + 1`` evenly spaced
-    states; another benchmark case samples it at its own checkpoints.
+    states; another benchmark case samples it at its own checkpoints.  A
+    given ``step`` replaces the sampler's default grid step.
     """
     problem_src = settings["problem"]
     if problem_src in BENCHMARK_CASES:
         problem = example1()
         u_data = settings["data_control"]
+        step = {} if settings["step"] is None else {"step": settings["step"]}
         if dense:
-            return dense_reference_record(problem, u_data, step=settings["step"])
+            return dense_reference_record(problem, u_data, **step)
         if problem_src == "example1":
             checkpoints = np.linspace(
                 float(problem.x_start[0]), float(problem.x_goal[0]), settings["num_pieces"] + 1
             )
         else:
             checkpoints = BENCHMARK_CASES[problem_src].checkpoints
-        return sample_reference(problem, u_data, checkpoints, step=settings["step"])
+        return sample_reference(problem, u_data, checkpoints, **step)
     path = Path(problem_src)
     if not path.exists():
         raise FileNotFoundError(f"no such trajectory file or built-in problem: {problem_src}")

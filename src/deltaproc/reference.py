@@ -36,8 +36,16 @@ from .fitting import POSITIVE, TrajectoryRecord
 
 CHECKPOINT_TOL = 1e-10
 
+# Default grid step of the checkpoint sampler and both oracles.  They report
+# only bisected crossings, so the bisection to CHECKPOINT_TOL, not the grid,
+# sets their accuracy as long as the grid's own error stays below it: on the
+# benchmark plant, RK4 at 1e-3 stays within 1.1e-14 of u tan(u t) (global
+# error O(step^4)).  The dense sampler interpolates between grid states, an
+# O(step^2) error, so it keeps its finer default.
+PASSAGE_STEP = 1e-3
+
 # Grid states each flow fills per call of the first-passage sweep.  A row
-# that never reaches its goal sweeps the whole grid (1e5 steps by default).
+# that never reaches its goal sweeps the whole grid (1e4 steps by default).
 # The exact affine flow evaluates a chunk in closed form, and one array of the
 # whole grid would cost megabytes of peak memory for no speed.  The RK4 flow
 # takes one step per state, so a short block wastes few steps past a crossing.
@@ -152,6 +160,14 @@ def _affine_flow(a, d):
     return flow
 
 
+def check_step(step):
+    """Raise ``ValueError`` unless ``step`` is a positive, finite grid step."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    if not np.isfinite(step):
+        raise ValueError("step must be finite")
+
+
 def _first_passage(flow, x0_rows, goal, step, t_max):
     """Earliest time at which any scalar row first crosses ``goal``.
 
@@ -163,10 +179,9 @@ def _first_passage(flow, x0_rows, goal, step, t_max):
     region drops out.  The rows that cross in the earliest grid step are
     bisected from their left grid state to ``CHECKPOINT_TOL``.  Returns
     ``(t, x)`` at the earliest crossing, or None.  Raises ``ValueError`` for a
-    ``step`` that is not positive.
+    ``step`` that is not positive or not finite.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    check_step(step)
     x = np.array(x0_rows, dtype=float)
     at_goal = np.flatnonzero(np.abs(x - goal) < CHECKPOINT_TOL)
     if at_goal.size:
@@ -205,7 +220,7 @@ def _first_passage(flow, x0_rows, goal, step, t_max):
 
 
 def sample_reference(
-    problem: ReferenceProblem, u_const, x_checkpoints, step=1e-4, t_max=10.0
+    problem: ReferenceProblem, u_const, x_checkpoints, step=PASSAGE_STEP, t_max=10.0
 ) -> TrajectoryRecord:
     """Positive-labeled record pinned to exact state checkpoints.
 
@@ -287,7 +302,7 @@ def _plant_record(problem, record_id, u, ts, xs):
 
 
 def brute_force_min_time(
-    target, bounds: ControlBounds = None, levels=101, step=1e-4, t_max=10.0, x_start=None
+    target, bounds: ControlBounds = None, levels=101, step=PASSAGE_STEP, t_max=10.0, x_start=None
 ):
     """Grid/vertex first-passage search, independent of the PMP solver.
 

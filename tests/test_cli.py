@@ -27,6 +27,7 @@ from deltaproc.cli import (
     main,
     parse_args,
 )
+from deltaproc.reference import PASSAGE_STEP
 
 
 def read_csv(path):
@@ -319,6 +320,40 @@ class TestUsage:
         assert code == EXIT_INVALID
         assert capsys.readouterr().err == "error: step must be positive\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, problem, step, message",
+        [
+            ("delta", "csv", "0", "positive"),
+            ("fit", "csv", "-1", "positive"),
+            ("solve", "csv", "inf", "finite"),
+            ("fit", "example1", "inf", "finite"),
+        ],
+    )
+    def test_bad_step_rejected_for_any_problem(
+        self, tmp_path, capsys, command, problem, step, message
+    ):
+        # a CSV problem never samples with the step, so it is checked up front
+        if problem == "csv":
+            problem = str(tmp_path / "data.csv")
+            write_trajectories(
+                problem, [dense_reference_record(example1(), 1.0, num_samples=21, step=1e-3)]
+            )
+        out = tmp_path / "out"
+        code = main([command, "--problem", problem, f"--step={step}", "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: step must be {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, step", [("fit", PASSAGE_STEP), ("delta", 1e-4)])
+    def test_default_step_is_the_samplers(self, tmp_path, command, step):
+        # fit and solve sample checkpoints at PASSAGE_STEP; delta's dense record keeps 1e-4
+        for out, flags in (("default", []), ("given", ["--step", repr(step)])):
+            argv = [command, "--problem", "example1", *flags, "--out", str(tmp_path / out)]
+            assert main(argv) in (EXIT_OK, EXIT_NOT_CONVERGED)
+        for name in os.listdir(tmp_path / "given"):
+            given = (tmp_path / "given" / name).read_bytes()
+            assert (tmp_path / "default" / name).read_bytes() == given
 
     @pytest.mark.parametrize("value, expected", [("-1e-1", -0.1), ("-.5", -0.5), ("-2", -2.0)])
     def test_negative_value_after_a_space(self, value, expected):

@@ -22,7 +22,7 @@ from deltaproc import (
     write_trajectories,
 )
 from deltaproc import dynamics, reference
-from deltaproc.reference import PASSAGE_CHUNK, ReferenceProblem
+from deltaproc.reference import PASSAGE_CHUNK, PASSAGE_STEP, ReferenceProblem
 from deltaproc.reference import _RK4_BLOCK, BENCHMARK_CASES, CHECKPOINT_TOL
 
 UNIT_BOUNDS = ControlBounds(lower=[-1.0], upper=[1.0])
@@ -308,7 +308,7 @@ class TestDenseRecord:
 
 
 
-def rk4_checkpoints(u, checkpoints, step=1e-4):
+def rk4_checkpoints(u, checkpoints, step):
     """Checkpoint times and states of example 1 by a per-step scalar RK4 loop.
 
     The state rises, so a step crosses the goal when it ends at or above it.
@@ -341,12 +341,26 @@ def rk4_checkpoints(u, checkpoints, step=1e-4):
     return np.array(ts), np.array(xs)
 
 
+STEP_SEARCHES = pytest.mark.parametrize(
+    "search",
+    [
+        lambda step: sample_reference(example1(), 1.0, (0.0, 1.0), step=step),
+        lambda step: dense_reference_record(example1(), 1.0, step=step),
+        lambda step: brute_force_min_time(example1(), step=step),
+        lambda step: brute_force_min_time(
+            scalar_model((0.5, 0.5, 0.5)), UNIT_BOUNDS, step=step, x_start=[0.0]
+        ),
+    ],
+    ids=["sample_reference", "dense_reference_record", "plant_oracle", "model_oracle"],
+)
+
+
 class TestFirstPassageSweep:
     @pytest.mark.parametrize("name", sorted(BENCHMARK_CASES))
     def test_benchmark_cases_match_per_step_rk4(self, name):
         case = BENCHMARK_CASES[name]
-        record = sample_reference(example1(), case.u_data, case.checkpoints)
-        ts, xs = rk4_checkpoints(case.u_data, case.checkpoints)
+        record = sample_reference(example1(), case.u_data, case.checkpoints, step=PASSAGE_STEP)
+        ts, xs = rk4_checkpoints(case.u_data, case.checkpoints, step=PASSAGE_STEP)
         np.testing.assert_allclose(record.t, ts, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(record.x[:, 0], xs, rtol=0.0, atol=1e-12)
 
@@ -401,21 +415,48 @@ class TestFirstPassageSweep:
             brute_force_min_time(problem)
 
     @pytest.mark.parametrize("step", [0.0, -1e-3])
-    @pytest.mark.parametrize(
-        "search",
-        [
-            lambda step: sample_reference(example1(), 1.0, (0.0, 1.0), step=step),
-            lambda step: dense_reference_record(example1(), 1.0, step=step),
-            lambda step: brute_force_min_time(example1(), step=step),
-            lambda step: brute_force_min_time(
-                scalar_model((0.5, 0.5, 0.5)), UNIT_BOUNDS, step=step, x_start=[0.0]
-            ),
-        ],
-        ids=["sample_reference", "dense_reference_record", "plant_oracle", "model_oracle"],
-    )
+    @STEP_SEARCHES
     def test_non_positive_step_rejected(self, search, step):
         with pytest.raises(ValueError, match="^step must be positive$"):
             search(step)
+
+    @STEP_SEARCHES
+    def test_infinite_step_rejected(self, search):
+        # ceil(t_max / inf) is 0 grid steps, which would read as unreachable
+        with pytest.raises(ValueError, match="^step must be finite$"):
+            search(np.inf)
+
+
+class TestDefaultPassageStep:
+    """The default grid is coarse, yet the 1e-10 bisection sets the accuracy."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CASES))
+    def test_checkpoint_times_match_closed_form(self, name):
+        # under constant u, x = u tan(u t): checkpoint x is reached at atan(x/u)/u
+        case = BENCHMARK_CASES[name]
+        record = sample_reference(example1(), case.u_data, case.checkpoints)
+        expected = np.arctan(np.array(case.checkpoints) / case.u_data) / case.u_data
+        np.testing.assert_allclose(record.t, expected, rtol=0.0, atol=1e-10)
+
+    def test_plant_oracle_near_quarter_pi(self):
+        assert brute_force_min_time(example1()) == pytest.approx(np.pi / 4.0, rel=0.0, abs=1e-10)
+
+    def test_agrees_with_fine_grid_without_closed_form(self):
+        problem = ReferenceProblem(
+            name="cubic",
+            rhs=lambda x, u: x - x**3 / 3.0 + u,
+            bounds=UNIT_BOUNDS,
+            x_start=np.array([0.0]),
+            x_goal=np.array([1.0]),
+        )
+        checkpoints = (0.0, 0.25, 0.5, 1.0)
+        coarse = sample_reference(problem, 0.5, checkpoints)
+        fine = sample_reference(problem, 0.5, checkpoints, step=1e-4)
+        np.testing.assert_allclose(coarse.t, fine.t, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(coarse.x, fine.x, rtol=0.0, atol=1e-10)
+        assert brute_force_min_time(problem) == pytest.approx(
+            brute_force_min_time(problem, step=1e-4), rel=0.0, abs=1e-10
+        )
 
 
 def rk4_array_passage(u, x0, goal, step):
@@ -508,10 +549,10 @@ class TestOneRowOnFloats:
     @pytest.mark.parametrize("name", sorted(BENCHMARK_CASES))
     def test_benchmark_cases_equal_array_rk4(self, name):
         case = BENCHMARK_CASES[name]
-        record = sample_reference(example1(), case.u_data, case.checkpoints)
+        record = sample_reference(example1(), case.u_data, case.checkpoints, step=PASSAGE_STEP)
         t, x, ts, xs = 0.0, 0.0, [], []
         for goal in case.checkpoints:
-            dt, x, _ = rk4_array_passage(case.u_data, x, goal, 1e-4)
+            dt, x, _ = rk4_array_passage(case.u_data, x, goal, PASSAGE_STEP)
             t += dt
             ts.append(t)
             xs.append(x)
