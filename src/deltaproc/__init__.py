@@ -15,9 +15,7 @@ from .dynamics import (
     Trajectory,
     evaluate_rhs,
     integrate,
-    shift_coordinates,
     simulate_model,
-    unshift_coordinates,
 )
 from .errors import (
     CoverageError,
@@ -55,9 +53,6 @@ from .procedure import (
     DeltaConfig,
     DeltaResult,
     PartitionSolution,
-    PartitionWeights,
-    hamiltonian_deviation,
-    mean_hamiltonian_score,
     refine_partition,
     run_delta,
     solve_partition,

@@ -13,6 +13,8 @@ import argparse
 import csv
 import re
 import sys
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -216,23 +218,20 @@ def write_model_csv(path, model):
 
 
 def write_schedule_csv(path, solution):
+    """One row per segment on one clock from 0, with its piece's switch times.
+
+    A piece's switch times are the ends of its segments except the last.
+    """
     r = solution.model.pieces[0].r
     header = ["piece", "t_start", "t_end"] + [f"u{i}" for i in range(r)] + ["switch_times"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        t = 0.0
-        for k, sol in enumerate(solution.piece_solutions):
-            if sol.is_trivial:
-                continue
-            switches = ";".join(repr(float(t + s)) for s in sol.switch_times)
-            for (a, b, u) in sol.u_schedule.segments:
-                writer.writerow(
-                    [k, repr(float(t + a)), repr(float(t + b))]
-                    + [repr(float(v)) for v in u]
-                    + [switches]
-                )
-            t += sol.transfer_time
+        for k, rows in groupby(solution.chained_segments().tolist(), key=itemgetter(0)):
+            rows = list(rows)
+            switches = ";".join(repr(end) for (_, _, end, *_) in rows[:-1])
+            for (_, a, b, *u) in rows:
+                writer.writerow([int(k), repr(a), repr(b)] + [repr(v) for v in u] + [switches])
 
 
 def write_trace_csv(path, trace):

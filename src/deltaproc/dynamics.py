@@ -4,8 +4,7 @@ States and controls are plain 1-D numpy arrays.  A ``LinearPiece`` holds one
 subinterval's constant ``(A, B)`` pair together with the anchor state (the
 data state at the subinterval's right knot) that the piece is expected to
 transfer to.  Dynamics are always expressed in the original coordinate frame,
-``dx/dt = A x + B u``; :func:`shift_coordinates` provides the translation that
-maps the anchor to the origin when a target-at-zero frame is needed.
+``dx/dt = A x + B u``.
 """
 
 from __future__ import annotations
@@ -278,22 +277,6 @@ class Trajectory:
     def _interp(self, t, values):
         """``values`` at one time, shape (dim,), or at an array of times, (len(t), dim)."""
         return np.stack([np.interp(t, self.t, column) for column in values.T], axis=-1)
-
-
-def shift_coordinates(piece: LinearPiece, x) -> np.ndarray:
-    """Translate a state so the piece's anchor maps to the origin."""
-    x = as_vector(x, "state")
-    if x.size != piece.n:
-        raise DimensionMismatchError(f"state dim {x.size} != piece dim {piece.n}")
-    return x - piece.anchor
-
-
-def unshift_coordinates(piece: LinearPiece, x_shifted) -> np.ndarray:
-    """Inverse of :func:`shift_coordinates`."""
-    x_shifted = as_vector(x_shifted, "state")
-    if x_shifted.size != piece.n:
-        raise DimensionMismatchError(f"state dim {x_shifted.size} != piece dim {piece.n}")
-    return x_shifted + piece.anchor
 
 
 def evaluate_rhs(piece: LinearPiece, x, u) -> np.ndarray:

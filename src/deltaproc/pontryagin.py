@@ -61,16 +61,21 @@ class PieceSolution:
     initial costate.
     """
 
-    piece_index: int
     u_schedule: ControlSchedule
     transfer_time: float
-    switch_times: tuple
     hamiltonian: float
     psi0: AdjointState
 
     @property
     def is_trivial(self):
         return self.u_schedule is None
+
+    @property
+    def switch_times(self):
+        """Local times at which the control switches: every segment end but the last."""
+        if self.is_trivial:
+            return ()
+        return tuple(end for (_, end, _) in self.u_schedule.segments[:-1])
 
 
 def adjoint_solve(piece: LinearPiece, psi0):
@@ -137,7 +142,6 @@ def min_time_transfer(
     piece: LinearPiece,
     x_from,
     bounds: ControlBounds,
-    piece_index=0,
     t_max=None,
 ) -> PieceSolution:
     """Minimal-time transfer from x_from to the piece anchor.
@@ -151,39 +155,16 @@ def min_time_transfer(
     if x_from.size != piece.n:
         raise DimensionMismatchError(f"x_from dim {x_from.size} != piece dim {piece.n}")
     if np.linalg.norm(x_from - piece.anchor) <= ZERO_STATE_TOL:
-        return _trivial_solution(piece_index, piece.n)
+        return PieceSolution(
+            u_schedule=None, transfer_time=0.0, hamiltonian=0.0, psi0=AdjointState(np.eye(piece.n)[0])
+        )
     if piece.n == 1:
-        return _scalar_transfer(piece, x_from, bounds, piece_index)
-    return _shooting_transfer(piece, x_from, bounds, piece_index, t_max)
+        return _scalar_transfer(piece, x_from, bounds)
+    return _shooting_transfer(piece, x_from, bounds, t_max)
 
 
-def _trivial_solution(piece_index, n):
-    return PieceSolution(
-        piece_index=piece_index,
-        u_schedule=None,
-        transfer_time=0.0,
-        switch_times=(),
-        hamiltonian=0.0,
-        psi0=AdjointState(psi=np.eye(n)[0]),
-    )
-
-
-def scalar_transfers(a, B, x0, xf, bounds):
-    """Minimal-time transfers of many scalar pieces in one closed-form pass.
-
-    Row k is the piece dx/dt = a[k] x + B[k] u taken from x0[k] to xf[k].
-    Returns one :class:`PieceSolution` per row, with the row as its piece
-    index, and None for a row that no vertex control can transfer.
-    """
-    T, u, psi, H = _scalar_time(a, B, x0, xf, bounds)
-    return [
-        None if np.isnan(t) else _scalar_solution(k, t, u_star, psi0, h)
-        for k, (t, u_star, psi0, h) in enumerate(zip(T.tolist(), u, psi.tolist(), H.tolist()))
-    ]
-
-
-def _scalar_transfer(piece, x_from, bounds, piece_index):
-    (t,), (u_star,), (psi0,), (h,) = _scalar_time(
+def _scalar_transfer(piece, x_from, bounds):
+    (t,), (u_star,), (psi0,), (h,) = scalar_transfers(
         piece.A[0], piece.B, x_from, piece.anchor, bounds
     )
     if np.isnan(t):
@@ -199,23 +180,15 @@ def _scalar_transfer(piece, x_from, bounds, piece_index):
             f"no vertex control transfers x={float(x_from[0]):g} to {float(piece.anchor[0]):g} "
             f"(a={float(piece.A[0, 0]):g}, B={piece.B.ravel()}): " + "; ".join(diagnostics)
         )
-    return _scalar_solution(piece_index, float(t), u_star, float(psi0), float(h))
-
-
-def _scalar_solution(piece_index, t, u_star, psi0, h):
-    if t == 0.0:
-        return _trivial_solution(piece_index, 1)
     return PieceSolution(
-        piece_index=piece_index,
-        u_schedule=ControlSchedule.constant(u_star, 0.0, t),
-        transfer_time=t,
-        switch_times=(),
-        hamiltonian=h,
+        u_schedule=ControlSchedule.constant(u_star, 0.0, float(t)),
+        transfer_time=float(t),
+        hamiltonian=float(h),
         psi0=AdjointState(psi=np.array([psi0])),
     )
 
 
-def _scalar_time(a, B, x0, xf, bounds):
+def scalar_transfers(a, B, x0, xf, bounds):
     """Closed-form minimal transfers of the scalar rows dx/dt = a x + B u.
 
     ``a``, ``x0`` and ``xf`` hold one entry per row and ``B`` one row of r
@@ -363,7 +336,7 @@ def _scan_directions(piece, x_from, bounds, directions, t_max, steps):
     return best_miss, best_t
 
 
-def _shooting_transfer(piece, x_from, bounds, piece_index, t_max):
+def _shooting_transfer(piece, x_from, bounds, t_max):
     n = piece.n
     if t_max is None:
         scale = max(np.linalg.norm(piece.A, 2), 1e-6)
@@ -410,16 +383,10 @@ def _shooting_transfer(piece, x_from, bounds, piece_index, t_max):
             psi0 = raw / np.linalg.norm(raw)
             T = abs(sol.x[-1])
             xT, controls, psi = _terminal_state(piece, x_from, bounds, psi0, T)
-            schedule = ControlSchedule(tuple(controls))
-            switch_ts = tuple(hi for (_, hi, _) in controls[:-1])
-            u0 = controls[0][2]
-            h = hamiltonian(piece, psi0, x_from, u0)
             return PieceSolution(
-                piece_index=piece_index,
-                u_schedule=schedule,
+                u_schedule=ControlSchedule(tuple(controls)),
                 transfer_time=T,
-                switch_times=switch_ts,
-                hamiltonian=h,
+                hamiltonian=hamiltonian(piece, psi0, x_from, controls[0][2]),
                 psi0=AdjointState(psi=psi0),
             )
     raise ShootingError(

@@ -11,61 +11,84 @@ diagnostics; the stopping rule is the successive-total gap alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ControlBounds, ControlSchedule, PiecewiseLinearModel, TimePartition
 from .errors import DeltaProcError
 from .fitting import TrajectoryRecord, fit_model
-from .pontryagin import PieceSolution, min_time_transfer, scalar_transfers
+from .pontryagin import AdjointState, PieceSolution, min_time_transfer, scalar_transfers
 
 REFINE_DOUBLE = "double"
 REFINE_INCREMENT = "increment"
 
 
 @dataclass(frozen=True)
-class PartitionWeights:
-    """Dimensionless piece weights, constrained to sum to the piece count."""
-
-    eps: np.ndarray
-
-    def __post_init__(self):
-        eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
-        object.__setattr__(self, "eps", eps)
-        if np.any(eps <= 0.0):
-            raise ValueError("weights must be positive")
-        if abs(eps.sum() - eps.size) > 1e-9:
-            raise ValueError(f"weights must sum to their count {eps.size}, got {eps.sum()}")
-
-    @classmethod
-    def ones(cls, count):
-        return cls(np.ones(count))
-
-
-@dataclass
 class PartitionSolution:
-    """Fitted model plus per-piece optimal transfers for one partition."""
+    """One refinement level: the fitted model and every piece's optimal transfer.
+
+    Piece k goes from ``x_start`` (k = 0) or anchor k-1 to anchor k in
+    ``transfer_times[k]``; ``hamiltonians[k]`` and ``psi0[k]`` are its constant
+    Hamiltonian and unit initial costate.  Each row of ``segments`` is
+    (piece, t_start, t_end, u_0, ..., u_{r-1}) on that piece's own clock, so a
+    piece owns the rows that carry its index and a trivial piece owns none.
+    """
 
     model: PiecewiseLinearModel
-    piece_solutions: list
     x_start: np.ndarray
-    total_time: float
-    eq_mean_score: float = 0.0
-    eq_deviation_score: float = 0.0
+    transfer_times: np.ndarray  # (N,)
+    hamiltonians: np.ndarray    # (N,)
+    psi0: np.ndarray            # (N, n)
+    segments: np.ndarray        # (S, 3 + r)
+
+    @property
+    def total_time(self):
+        # summed left to right like the transfers are chained: np.sum adds
+        # pairwise and would change the last bits
+        return float(np.add.accumulate(self.transfer_times)[-1])
+
+    @property
+    def eq_mean_score(self):
+        """Mean of the per-piece Hamiltonian values."""
+        return float(np.sum(self.hamiltonians) / self.hamiltonians.size)
+
+    @property
+    def eq_deviation_score(self):
+        """Mean absolute deviation of the per-piece Hamiltonians from their mean.
+
+        The unsigned form; the signed sum vanishes identically.
+        """
+        h = self.hamiltonians
+        return float(np.sum(np.abs(h - np.sum(h) / h.size)) / h.size)
+
+    def chained_segments(self):
+        """``segments`` on one clock from 0: each piece starts where the last ended."""
+        starts = np.concatenate([[0.0], np.add.accumulate(self.transfer_times)[:-1]])
+        chained = self.segments.copy()
+        chained[:, 1:3] += starts[self.segments[:, 0].astype(int), None]
+        return chained
 
     @property
     def schedule(self) -> ControlSchedule:
-        """Piece schedules concatenated on one clock starting at 0."""
-        segments = []
-        t = 0.0
-        for sol in self.piece_solutions:
-            if sol.is_trivial:
-                continue
-            for (a, b, u) in sol.u_schedule.segments:
-                segments.append((t + a, t + b, u))
-            t += sol.transfer_time
-        return ControlSchedule(tuple(segments))
+        """All piece schedules concatenated on one clock from 0."""
+        return ControlSchedule(tuple((a, b, u) for (_, a, b, *u) in self.chained_segments()))
+
+    @property
+    def piece_solutions(self):
+        """One :class:`PieceSolution` per piece, trivial pieces included."""
+        owned = [[] for _ in self.transfer_times]
+        for (k, a, b, *u) in self.segments:
+            owned[int(k)].append((a, b, u))
+        return [
+            PieceSolution(
+                u_schedule=ControlSchedule(tuple(rows)) if rows else None,
+                transfer_time=float(t),
+                hamiltonian=float(h),
+                psi0=AdjointState(psi=psi),
+            )
+            for rows, t, h, psi in zip(owned, self.transfer_times, self.hamiltonians, self.psi0)
+        ]
 
 
 @dataclass(frozen=True)
@@ -109,10 +132,6 @@ class DeltaResult:
     stopping_gap: float
 
     @property
-    def final_schedule(self) -> ControlSchedule:
-        return self.final_solution.schedule
-
-    @property
     def total_time(self):
         return self.final_solution.total_time
 
@@ -132,75 +151,61 @@ def solve_partition(
     model = fit_model(record, partition)
     x_start = record.interp_state(partition.t0)
     if model.n == 1 and model.pieces[0].r == bounds.r:
-        solutions = _scalar_level(model.pieces, x_start, bounds)
-    else:
-        # n >= 2, or a control box that does not fit the pieces, which the
-        # first non-trivial transfer reports
-        solutions = []
-        x_from = x_start
-        for k, piece in enumerate(model.pieces):
-            solutions.append(_transfer(k, piece, x_from, bounds))
-            x_from = piece.anchor
-    # summed left to right like the transfers are chained: np.sum adds
-    # pairwise and would change the last bits
-    total = np.add.accumulate([sol.transfer_time for sol in solutions])[-1]
-    result = PartitionSolution(
+        return _scalar_level(model, x_start, bounds)
+    # n >= 2, or a control box that does not fit the pieces, which the first
+    # non-trivial transfer reports
+    solutions = []
+    x_from = x_start
+    for k, piece in enumerate(model.pieces):
+        solutions.append(_transfer(k, piece, x_from, bounds))
+        x_from = piece.anchor
+    segments = [
+        (k, a, b, *u)
+        for k, sol in enumerate(solutions)
+        if not sol.is_trivial
+        for (a, b, u) in sol.u_schedule.segments
+    ]
+    return PartitionSolution(
         model=model,
-        piece_solutions=solutions,
-        x_start=np.asarray(x_start, dtype=float),
-        total_time=float(total),
+        x_start=x_start,
+        transfer_times=np.array([sol.transfer_time for sol in solutions]),
+        hamiltonians=np.array([sol.hamiltonian for sol in solutions]),
+        psi0=np.array([sol.psi0.psi for sol in solutions]),
+        segments=np.array(segments, dtype=float).reshape(-1, 3 + bounds.r),
     )
-    w = PartitionWeights.ones(len(model.pieces))
-    result.eq_mean_score = mean_hamiltonian_score(result, w)
-    result.eq_deviation_score = hamiltonian_deviation(result, w)
-    return result
 
 
-def _scalar_level(pieces, x_start, bounds):
-    """Transfers of all pieces of a scalar model, chained through the anchors."""
+def _scalar_level(model, x_start, bounds):
+    """All transfers of a scalar model, chained through the anchors, in one pass."""
+    pieces = model.pieces
     xf = np.array([piece.anchor[0] for piece in pieces])
     x0 = np.concatenate([x_start, xf[:-1]])
-    solutions = scalar_transfers(
+    T, u, psi, H = scalar_transfers(
         [piece.A[0, 0] for piece in pieces],
         np.concatenate([piece.B for piece in pieces]),
         x0,
         xf,
         bounds,
     )
-    unreachable = next((k for k, sol in enumerate(solutions) if sol is None), None)
-    if unreachable is not None:
+    unreachable = np.flatnonzero(np.isnan(T))
+    if unreachable.size:
+        k = int(unreachable[0])
         # raises the piece's own InfeasibleTransferError
-        _transfer(unreachable, pieces[unreachable], x0[unreachable], bounds)
-    return solutions
+        _transfer(k, pieces[k], x0[k], bounds)
+    moves = np.flatnonzero(T > 0.0)
+    segments = np.column_stack([moves, np.zeros(moves.size), T[moves], u[moves]])
+    return PartitionSolution(
+        model=model, x_start=x_start, transfer_times=T, hamiltonians=H, psi0=psi[:, None],
+        segments=segments,
+    )
 
 
 def _transfer(k, piece, x_from, bounds):
     try:
-        return min_time_transfer(piece, x_from, bounds, piece_index=k)
+        return min_time_transfer(piece, x_from, bounds)
     except DeltaProcError as exc:
         exc.args = (f"piece {k}: {exc.args[0]}",) + exc.args[1:]
         raise
-
-
-def mean_hamiltonian_score(sol: PartitionSolution, w: PartitionWeights):
-    """Weighted mean of the per-piece Hamiltonian values: sum(H_k eps_k)/N."""
-    h = np.array([ps.hamiltonian for ps in sol.piece_solutions])
-    if h.size != w.eps.size:
-        raise ValueError("weights count does not match the piece count")
-    return float(np.sum(h * w.eps) / h.size)
-
-
-def hamiltonian_deviation(sol: PartitionSolution, w: PartitionWeights):
-    """Weighted mean absolute deviation of H_k from its weighted mean.
-
-    The unsigned form; the raw signed sum would vanish identically at unit
-    weights by construction of the mean.
-    """
-    h = np.array([ps.hamiltonian for ps in sol.piece_solutions])
-    if h.size != w.eps.size:
-        raise ValueError("weights count does not match the piece count")
-    mean = np.sum(h * w.eps) / h.size
-    return float(np.sum(np.abs(h - mean) * w.eps) / h.size)
 
 
 def refine_partition(partition: TimePartition, strategy=REFINE_DOUBLE) -> TimePartition:

@@ -179,9 +179,12 @@ def _first_passage(flow, x0_rows, goal, step, t_max):
     region drops out.  The rows that cross in the earliest grid step are
     bisected from their left grid state to ``CHECKPOINT_TOL``.  Returns
     ``(t, x)`` at the earliest crossing, or None.  Raises ``ValueError`` for a
-    ``step`` that is not positive or not finite.
+    ``step`` that is not positive or not finite, and for a ``t_max`` that is
+    not finite.
     """
     check_step(step)
+    if not np.isfinite(t_max):
+        raise ValueError("t_max must be finite")
     x = np.array(x0_rows, dtype=float)
     at_goal = np.flatnonzero(np.abs(x - goal) < CHECKPOINT_TOL)
     if at_goal.size:

@@ -7,14 +7,20 @@ import textwrap
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import deltaproc
 from deltaproc import (
+    ControlBounds,
     ControlSchedule,
     ShootingError,
+    TimePartition,
+    TrajectoryRecord,
     dense_reference_record,
     example1,
+    min_time_transfer,
     simulate_model,
+    solve_partition,
     write_trajectories,
 )
 from deltaproc.cli import (
@@ -409,6 +415,67 @@ class TestSolverFailure:
         code = main(["solve", "--problem", "example1", "--out", str(tmp_path)])
         assert code == EXIT_SOLVER_FAILURE == 4
         assert "solver failure" in capsys.readouterr().err
+
+
+def damped_oscillator_record():
+    """x1' = x2, x2' = -x1 - 0.3 x2 + u for 3 s from (1, 0), sampled every 5 ms.
+
+    u = 0.8 cos(2t) is held over each 5 ms step, which is taken exactly
+    through the augmented matrix exponential; dx is the right-hand side at
+    each sample.
+    """
+    A = np.array([[0.0, 1.0], [-1.0, -0.3]])
+    B = np.array([0.0, 1.0])
+    h = 0.005
+    t = np.linspace(0.0, 3.0, 601)
+    u = 0.8 * np.cos(2.0 * t)
+    augmented = np.zeros((3, 3))
+    augmented[:2, :2], augmented[:2, 2] = A * h, B * h
+    step = expm(augmented)
+    x = np.empty((t.size, 2))
+    x[0] = (1.0, 0.0)
+    for k in range(t.size - 1):
+        x[k + 1] = step[:2, :2] @ x[k] + step[:2, 2] * u[k]
+    dx = x @ A.T + np.outer(u, B)
+    return TrajectoryRecord(id="osc", label="positive", t=t, x=x, u=u[:, None], dx=dx)
+
+
+class TestTwoStateSolve:
+    def test_schedule_csv_of_a_switching_level(self, tmp_path, capsys):
+        record = damped_oscillator_record()
+        data = tmp_path / "osc.csv"
+        write_trajectories(data, [record])
+        argv = ["solve", "--problem", str(data), "--num-pieces", "2", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        total = float(capsys.readouterr().out.splitlines()[0].split(":")[1])
+        rows = read_csv(tmp_path / "schedule.csv")
+        for piece in {row["piece"] for row in rows}:
+            own = [row for row in rows if row["piece"] == piece]
+            switches = ";".join(row["t_end"] for row in own[:-1])
+            assert [row["switch_times"] for row in own] == [switches] * len(own)
+        assert any(row["switch_times"] for row in rows)
+        starts = [float(row["t_start"]) for row in rows]
+        ends = [float(row["t_end"]) for row in rows]
+        assert starts == [0.0] + ends[:-1]
+        assert ends[-1] == pytest.approx(total, abs=5e-7)  # printed to 6 decimals
+
+        # the level behind the CSV: each piece is its own transfer from the last anchor
+        bounds = ControlBounds(lower=[-1.0], upper=[1.0])
+        partition = TimePartition.uniform(record.t_start, record.t_end, 2)
+        sol = solve_partition(record, partition, bounds)
+        table = [[float(row[key]) for key in ("piece", "t_start", "t_end", "u0")] for row in rows]
+        assert table == sol.chained_segments().tolist()
+        assert len(sol.piece_solutions) == 2
+        x_from = sol.x_start
+        for got, piece in zip(sol.piece_solutions, sol.model.pieces):
+            single = min_time_transfer(piece, x_from, bounds)
+            assert got.transfer_time == single.transfer_time
+            assert got.hamiltonian == single.hamiltonian
+            assert got.psi0.psi.tolist() == single.psi0.psi.tolist()
+            assert [(a, b, u.tolist()) for a, b, u in got.u_schedule.segments] == [
+                (a, b, u.tolist()) for a, b, u in single.u_schedule.segments
+            ]
+            x_from = piece.anchor
 
 
 SCALAR_RUN = textwrap.dedent(

@@ -17,9 +17,7 @@ from deltaproc import (
     Trajectory,
     evaluate_rhs,
     integrate,
-    shift_coordinates,
     simulate_model,
-    unshift_coordinates,
 )
 from deltaproc import dynamics
 
@@ -63,29 +61,6 @@ class TestEvaluateRhs:
             + (1.0 - alpha) * evaluate_rhs(piece, [x2], [u])[0]
         )
         assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-class TestShiftCoordinates:
-    def test_anchor_maps_to_origin(self):
-        piece = make_piece(1.0, 1.0, 1.0)
-        assert shift_coordinates(piece, [1.0])[0] == 0.0
-
-    def test_first_anchor_shift(self):
-        piece = make_piece(0.5, 0.5, 0.5)
-        assert shift_coordinates(piece, [0.0])[0] == pytest.approx(-0.5)
-
-    def test_componentwise(self):
-        piece = LinearPiece(A=np.eye(2), B=np.eye(2), t_start=0.0, t_end=1.0, anchor=[1, 2])
-        np.testing.assert_allclose(shift_coordinates(piece, [3, 5]), [2, 3])
-
-    @given(
-        anchor=st.floats(-10.0, 10.0),
-        x=st.floats(-10.0, 10.0),
-    )
-    def test_round_trip(self, anchor, x):
-        piece = make_piece(0.1, 0.2, anchor)
-        back = unshift_coordinates(piece, shift_coordinates(piece, [x]))
-        assert back[0] == pytest.approx(x, abs=1e-12)
 
 
 class TestIntegrate:

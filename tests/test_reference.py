@@ -354,6 +354,26 @@ STEP_SEARCHES = pytest.mark.parametrize(
     ids=["sample_reference", "dense_reference_record", "plant_oracle", "model_oracle"],
 )
 
+# each search with a given t_max, and what it raises when nothing is reached
+T_MAX_SEARCHES = pytest.mark.parametrize(
+    "search, unreached",
+    [
+        (
+            lambda t_max: sample_reference(example1(), 1.0, (0.0, 1.0), t_max=t_max),
+            GenerationError,
+        ),
+        (lambda t_max: dense_reference_record(example1(), 1.0, t_max=t_max), GenerationError),
+        (lambda t_max: brute_force_min_time(example1(), t_max=t_max), InfeasibilityReport),
+        (
+            lambda t_max: brute_force_min_time(
+                scalar_model((0.5, 0.5, 0.5)), UNIT_BOUNDS, t_max=t_max, x_start=[0.0]
+            ),
+            InfeasibilityReport,
+        ),
+    ],
+    ids=["sample_reference", "dense_reference_record", "plant_oracle", "model_oracle"],
+)
+
 
 class TestFirstPassageSweep:
     @pytest.mark.parametrize("name", sorted(BENCHMARK_CASES))
@@ -425,6 +445,19 @@ class TestFirstPassageSweep:
         # ceil(t_max / inf) is 0 grid steps, which would read as unreachable
         with pytest.raises(ValueError, match="^step must be finite$"):
             search(np.inf)
+
+    @pytest.mark.parametrize("t_max", [np.inf, np.nan])
+    @T_MAX_SEARCHES
+    def test_non_finite_t_max_rejected(self, search, unreached, t_max):
+        # ceil(t_max / step) has no integer value
+        with pytest.raises(ValueError, match="^t_max must be finite$"):
+            search(t_max)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    @T_MAX_SEARCHES
+    def test_non_positive_t_max_reaches_nothing(self, search, unreached, t_max):
+        with pytest.raises(unreached):
+            search(t_max)
 
 
 class TestDefaultPassageStep:
