@@ -309,19 +309,22 @@ def affine_transition(A, dt):
 
     For n >= 2 both blocks come from one augmented exponential (Van Loan, IEEE
     TAC 1978): expm([[A dt, I dt], [0, 0]]) = [[Phi, G], [0, I]], with
-    G = int_0^dt expm(A s) ds.  A 1x1 ``A`` = [[a]] takes the closed form
-    exp(a dt) and expm1(a dt)/a (dt when a = 0), without scipy.
+    G = int_0^dt expm(A s) ds.  There ``dt`` may also be a 1-D array of
+    durations; Phi and G are then (len(dt), n, n) stacks from one batched
+    exponential, each equal to its own call.  A 1x1 ``A`` = [[a]] takes the
+    closed form exp(a dt) and expm1(a dt)/a (dt when a = 0), without scipy.
     """
     n = A.shape[0]
     if n == 1:
         a = A[0, 0]
         gain = dt if a == 0.0 else np.expm1(a * dt) / a
         return np.array([[np.exp(a * dt)]]), np.array([[gain]])
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A * dt
-    M[:n, n:] = np.eye(n) * dt
+    dt = np.asarray(dt, dtype=float)[..., None, None]
+    M = np.zeros(dt.shape[:-2] + (2 * n, 2 * n))
+    M[..., :n, :n] = A * dt
+    M[..., :n, n:] = np.eye(n) * dt
     E = expm(M)
-    return E[:n, :n], E[:n, n:]
+    return E[..., :n, :n], E[..., :n, n:]
 
 
 def _check_finite(x, t_valid):

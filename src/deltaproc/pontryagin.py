@@ -2,10 +2,10 @@
 
 For each linear piece the extremal control maximizes psi^T B u over the
 control box, the costate obeys d(psi)/dt = -A^T psi, and the minimal-time
-transfer to the piece anchor is computed in closed form for scalar state or
-by costate shooting for n >= 2.  The costate is fixed only up to positive
-scale, so initial costates are normalized to unit length and both antipodal
-rays are tried; feasibility picks the winner.
+transfer to the piece anchor is computed in closed form for scalar state or,
+for n >= 2, by solving for the durations of bang arcs and certifying the
+answer with a costate.  The costate is fixed only up to positive scale, so
+initial costates are normalized to unit length.
 """
 
 from __future__ import annotations
@@ -27,6 +27,22 @@ TERMINAL_TOL = 1e-8
 ZERO_STATE_TOL = 1e-12
 # Time steps of the coarse costate-direction scan over [0, t_max].
 SCAN_STEPS = 400
+# Scanned rays, closest first, whose bang arcs seed the arc-duration solve.
+SEED_RAYS = 8
+# Step counts of the scan prefixes searched in turn, shortest first: a ray
+# that passes near the anchor late must not crowd out one that reaches it early.
+SCAN_PREFIXES = (SCAN_STEPS // 16, SCAN_STEPS // 4, SCAN_STEPS)
+# Residual evaluations allowed to one arc-duration solve.
+MAX_NFEV = 20
+# Length, in scan steps, of the opposite-vertex arc that a seed adds in front or behind.
+SHORT_ARC = 0.5
+# Arcs no longer than this (time units) are dropped from a solved arc
+# sequence when the shorter sequence still ends at the anchor.
+SHORT_DROP = 1e-4
+# Samples of the costate grid on which a certificate checks the switching
+# function, and the violation it forgives on a row scaled to unit length.
+CERT_SAMPLES = 2001
+CERT_TOL = 1e-6
 
 
 # scipy serves only n >= 2 shooting, so it is imported on the first such call
@@ -147,9 +163,15 @@ def min_time_transfer(
     """Minimal-time transfer from x_from to the piece anchor.
 
     Scalar state uses the closed-form logarithmic transfer time under the
-    feasible costate ray; n >= 2 shoots over normalized initial costate
-    directions.  Raises :class:`InfeasibleTransferError` when no vertex
-    control reaches the target.
+    feasible costate ray, and raises :class:`InfeasibleTransferError` when
+    no vertex control reaches the target.  For n >= 2 a batched scan of unit
+    costate rays over [0, t_max] seeds arc sequences on box vertices; their
+    durations are solved so that the bang-bang trajectory ends at the anchor.
+    A solution counts only with a certificate: a unit initial costate whose
+    switching function has each arc's vertex sign, vanishes at the switches
+    and gives H >= 0.  The least certified transfer time is returned;
+    :class:`ShootingError` names the best uncertified one when none is
+    certified.
     """
     x_from = as_vector(x_from, "x_from")
     if x_from.size != piece.n:
@@ -225,17 +247,6 @@ def scalar_transfers(a, B, x0, xf, bounds):
     return T, np.where(minus[:, None], u_minus, u_plus), psi, H
 
 
-def _angles_to_direction(angles):
-    """Spherical angles (n-1 of them) to a unit vector in R^n."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    n = angles.size + 1
-    direction = np.ones(n)
-    for i, th in enumerate(angles):
-        direction[i] *= np.cos(th)
-        direction[i + 1 :] *= np.sin(th)
-    return direction
-
-
 def _sphere_directions(n, count, seed=0):
     """Quasi-uniform unit directions: axes plus seeded random samples."""
     rng = np.random.default_rng(seed)
@@ -249,12 +260,15 @@ def _sphere_directions(n, count, seed=0):
 def _costate_grid(piece, psi0, horizon, samples):
     """psi(t_i) = expm(-A^T t_i) psi0 on ``samples`` uniform times over [0, horizon].
 
-    The grid is filled by doubling: with S_m = expm(-A^T m h), the block
-    psis[m:2m] is psis[:m] @ S_m^T, and S_2m = S_m S_m.
+    ``psi0`` is one costate (n,) or a stack of them (m, n); the grid has shape
+    (samples,) + psi0.shape.  It is filled by doubling: with
+    S_m = expm(-A^T m h), the block psis[m:2m] is psis[:m] @ S_m^T, and
+    S_2m = S_m S_m.
     """
+    psi0 = np.asarray(psi0, dtype=float)
     ts = np.linspace(0.0, horizon, samples)
     step = expm(-piece.A.T * (ts[1] - ts[0]))
-    psis = np.empty((samples, piece.n))
+    psis = np.empty((samples,) + psi0.shape)
     psis[0] = psi0
     m = 1
     while m < samples:
@@ -265,56 +279,18 @@ def _costate_grid(piece, psi0, horizon, samples):
     return ts, psis
 
 
-def _switch_times(piece, psi0, horizon, samples=2001):
-    """Zero crossings of each component of B^T psi(t) on [0, horizon]."""
-    ts, psis = _costate_grid(piece, psi0, horizon, samples)
+def _scan_directions(piece, x_from, bounds, directions, h, prefixes):
+    """Best miss distance and its time for every costate ray, after each prefix.
 
-    def psi(t):
-        return expm(-piece.A.T * float(t)) @ psi0
-
-    gains = psis @ piece.B  # (samples, r)
-    switches = []
-    for j in range(gains.shape[1]):
-        g = gains[:, j]
-        idx = np.where(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
-        for i in idx:
-            lo, hi = ts[i], ts[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if np.sign((piece.B.T @ psi(mid))[j]) == np.sign(g[i]):
-                    lo = mid
-                else:
-                    hi = mid
-            switches.append(0.5 * (lo + hi))
-    return sorted(switches), psi
-
-
-def _terminal_state(piece, x_from, bounds, psi0, T):
-    """State at time T under the bang-bang control induced by psi0."""
-    if T <= 0.0:
-        return x_from, [], None
-    switches, psi = _switch_times(piece, psi0, T)
-    knots = [0.0] + [s for s in switches if 0.0 < s < T] + [T]
-    x = x_from.copy()
-    controls = []
-    for lo, hi in zip(knots, knots[1:]):
-        u = extremal_control(piece, psi(0.5 * (lo + hi)), bounds)
-        phi, gain = affine_transition(piece.A, hi - lo)
-        x = phi @ x + gain @ (piece.B @ u)
-        controls.append((lo, hi, u))
-    return x, controls, psi
-
-
-def _scan_directions(piece, x_from, bounds, directions, t_max, steps):
-    """Best miss distance and its time over a coarse sweep, for every costate ray.
-
-    All rays advance together as rows of (D, n) state and costate arrays.  The
-    control is re-evaluated once per step, so a switch inside a step is only
-    located to step resolution; the polish stage fixes that.  A row that
-    leaves the finite, <= BLOWUP_LIMIT region stops updating from that step
-    on.  Rows that never take a finite step keep miss inf and time nan.
+    Yields (best_miss, best_t) over the first ``prefixes[j]`` steps of size h,
+    for increasing prefixes of one sweep; a caller that stops early saves the
+    rest.  All rays advance together as rows of (D, n) state and costate
+    arrays.  The control is re-evaluated once per step, so a switch inside a
+    step is only located to step resolution; the arc-duration solve fixes
+    that.  A row that leaves the finite, <= BLOWUP_LIMIT region stops
+    updating from that step on.  Rows that never take a finite step keep miss
+    inf and time nan.
     """
-    h = t_max / steps
     phi, gain = affine_transition(piece.A, h)
     psi_step = expm(-piece.A.T * h)
     drive = gain @ piece.B  # (n, r)
@@ -323,7 +299,7 @@ def _scan_directions(piece, x_from, bounds, directions, t_max, steps):
     best_miss = np.full(psis.shape[0], np.inf)
     best_t = np.full(psis.shape[0], np.nan)
     alive = np.ones(psis.shape[0], dtype=bool)
-    for i in range(steps):
+    for i in range(prefixes[-1]):
         us = np.where(psis @ piece.B < 0.0, bounds.lower, bounds.upper)
         xs = xs @ phi.T + us @ drive.T
         psis = psis @ psi_step.T
@@ -333,7 +309,190 @@ def _scan_directions(piece, x_from, bounds, directions, t_max, steps):
         better = alive & (miss < best_miss)
         best_miss[better] = miss[better]
         best_t[better] = (i + 1) * h
-    return best_miss, best_t
+        if i + 1 in prefixes:
+            yield best_miss.copy(), best_t.copy()
+
+
+def _ray_arcs(piece, bounds, rays, times, h):
+    """The bang arcs (vertices, durations) that each scanned ray follows up to its best time.
+
+    Step i holds the extremal control at the step's start, as in
+    :func:`_scan_directions`, so every duration is a whole number of steps h.
+    """
+    counts = np.rint(np.asarray(times) / h).astype(int)
+    _, psis = _costate_grid(piece, rays, counts.max() * h, counts.max() + 1)
+    controls = np.where(psis @ piece.B < 0.0, bounds.lower, bounds.upper)  # (steps, rays, r)
+    for j, count in enumerate(counts):
+        u = controls[:count, j]
+        starts = np.flatnonzero(np.r_[True, (u[1:] != u[:-1]).any(axis=1)])
+        yield u[starts], np.diff(np.r_[starts, count]) * h
+
+
+def _arc_flow(piece, x_from, vertices, durations):
+    """Residuals of bang arcs and their Jacobian with respect to the arc durations.
+
+    Arc i holds vertex v_i for durations[i], and its affine transition (one
+    batched call for all arcs) carries the state across it.  The first n
+    residuals are the end state minus the anchor; d x_T / d durations[i] is
+    arc i's end velocity A x_i + B v_i, carried to T by the later arcs'
+    transitions.  For n = 2 the first switch
+    fixes the costate up to sign, and each later switch adds the residual
+    det(s_1, s_j) / (|s_1| |s_j|): s_j = expm(-A t_j) B_k is the switching
+    row of the component k that switches at t_j, and d s_j / d t_j = -A s_j.
+    (The Jacobian holds the scale |s_1| |s_j| fixed, which is exact at a root.)
+    """
+    A = piece.A
+    x, carry = x_from, np.eye(A.shape[0])
+    transitions, gains = affine_transition(A, durations)
+    velocities, switches = [], []
+    for i, (v, phi, gain) in enumerate(zip(vertices, transitions, gains)):
+        drive = piece.B @ v
+        x = phi @ x + gain @ drive
+        velocities.append(A @ x + drive)
+        carry = phi @ carry
+        if A.shape[0] == 2 and i + 1 < len(vertices):
+            rows = np.linalg.solve(carry, piece.B)  # expm(-A t_i) B
+            switches += [(i, rows[:, k]) for k in np.flatnonzero(v != vertices[i + 1])]
+    jac = np.zeros((x.size + max(len(switches) - 1, 0), len(vertices)))
+    carry = np.eye(x.size)
+    for i in reversed(range(len(vertices))):
+        jac[: x.size, i] = carry @ velocities[i]
+        carry = carry @ transitions[i]
+    residuals = [x - piece.anchor]
+    for row, (j, c) in enumerate(switches[1:], start=x.size):
+        i, a = switches[0]
+        scale = np.linalg.norm(a) * np.linalg.norm(c)
+        residuals.append([_det(a, c) / scale])
+        jac[row, : i + 1] += _det(-A @ a, c) / scale
+        jac[row, : j + 1] += _det(a, -A @ c) / scale
+    return np.concatenate(residuals), jac
+
+
+def _det(a, c):
+    return a[0] * c[1] - a[1] * c[0]
+
+
+def _fit_durations(piece, x_from, vertices, durations):
+    """Arc durations >= 0 that zero the residuals of :func:`_arc_flow`, and the
+    end state's miss of the anchor.  ``least_squares`` gets the analytic
+    Jacobian from the same forward pass as the residuals."""
+    memo = [None, None]  # the durations last flowed, and their flow
+
+    def flow(d):
+        if memo[0] is None or not np.array_equal(memo[0], d):
+            memo[:] = d.copy(), _arc_flow(piece, x_from, vertices, d)
+        return memo[1]
+
+    sol = least_squares(
+        lambda d: flow(d)[0],
+        durations,
+        jac=lambda d: flow(d)[1],
+        bounds=(0.0, np.inf),
+        xtol=1e-15,
+        ftol=1e-10,  # stops a solve that stalls short of the anchor
+        gtol=1e-15,
+        max_nfev=MAX_NFEV,
+    )
+    return sol.x, float(np.linalg.norm(sol.fun[: piece.n]))
+
+
+def _merge_arcs(vertices, durations):
+    """Drop arcs no longer than SHORT_DROP and merge neighbours on one vertex."""
+    keep = durations > SHORT_DROP
+    vertices, durations = vertices[keep], durations[keep]
+    if not durations.size:
+        return vertices, durations
+    starts = np.flatnonzero(np.r_[True, (vertices[1:] != vertices[:-1]).any(axis=1)])
+    return vertices[starts], np.add.reduceat(durations, starts)
+
+
+def _certificate(piece, bounds, x_from, vertices, durations):
+    """A unit initial costate under which the bang arcs are extremal, or None.
+
+    The switching function sigma(t) = B^T expm(-A^T t) psi0 must have the sign
+    of each arc's vertex (+ at the upper bound, - at the lower) at every
+    sample of a :func:`_costate_grid` over [0, T], each component must vanish
+    where its control switches, and H = psi0^T (A x0 + B v_1) must be >= 0.
+    Each condition is a row that psi0 meets to CERT_TOL after the row is
+    scaled to unit length.  The switch rows fix psi0 when they leave one free
+    direction (for n = 2 the first switch fixes it up to sign, and later
+    switches only check it); when they leave more, a linear program looks
+    for psi0 among them.
+    """
+    n = piece.n
+    ends = np.cumsum(durations)
+    # sigma_k(t) = (expm(-A t) B_k)^T psi0
+    switch_rows = [np.zeros((0, n))]
+    for t, v, w in zip(ends[:-1], vertices, vertices[1:]):
+        switch_rows.append((expm(-piece.A * t) @ piece.B)[:, v != w].T)
+    _, s, vt = np.linalg.svd(_unit_rows(np.concatenate(switch_rows)))
+    free = vt[int((s > CERT_TOL).sum()) :]
+    if not free.size:
+        return None
+
+    ts, grid = _costate_grid(piece, np.eye(n), ends[-1], CERT_SAMPLES)
+    arc = np.minimum(np.searchsorted(ends, ts), ends.size - 1)
+    signs = np.where(vertices == bounds.upper, 1.0, -1.0)[arc]  # (samples, r)
+    # grid[j] @ B holds, in column k, the row of sigma_k(t_j) in psi0
+    sign_rows = np.swapaxes((grid @ piece.B) * signs[:, None, :], 1, 2).reshape(-1, n)
+    rows = _unit_rows(np.vstack([sign_rows, piece.A @ x_from + piece.B @ vertices[0]]))
+    if free.shape[0] == 1:
+        candidates = (free[0], -free[0])
+    else:
+        from scipy.optimize import linprog
+
+        # any psi0 with every row >= 0 and not all rows 0: scale their sum
+        projected = rows @ free.T
+        lp = linprog(
+            np.zeros(free.shape[0]),
+            A_ub=-projected,
+            b_ub=np.zeros(rows.shape[0]),
+            A_eq=projected.sum(axis=0, keepdims=True),
+            b_eq=[rows.shape[0]],
+            bounds=(None, None),
+            method="highs",
+        )
+        if lp.status != 0:
+            return None
+        psi0 = lp.x @ free
+        candidates = (psi0 / np.linalg.norm(psi0),)
+    for psi0 in candidates:
+        if (rows @ psi0).min() >= -CERT_TOL:
+            return psi0
+    return None
+
+
+def _unit_rows(rows):
+    """``rows`` scaled to unit length, all-zero rows dropped."""
+    norms = np.linalg.norm(rows, axis=1)
+    return rows[norms > 0.0] / norms[norms > 0.0, None]
+
+
+def _seeds(piece, bounds, directions, misses, times, h, max_switches):
+    """Arc sequences (vertices, durations) to solve, one per vertex sequence.
+
+    Each of the SEED_RAYS closest rays gives its arcs, and the same with a
+    short arc on the opposite vertex in front or behind, for a first or last
+    arc shorter than a scan step h.  A sequence in which some control
+    component switches more than ``max_switches`` times (None: no bound) is
+    left out; the first ray to give a vertex sequence sets its durations.
+    """
+    rays = [i for i in np.argsort(misses, kind="stable") if not np.isnan(times[i])][:SEED_RAYS]
+    if not rays:
+        return []
+    seeds = {}
+    for vertices, durations in _ray_arcs(piece, bounds, directions[rays], times[rays], h):
+        first = np.where(vertices[:1] == bounds.upper, bounds.lower, bounds.upper)
+        last = np.where(vertices[-1:] == bounds.upper, bounds.lower, bounds.upper)
+        for seed in (
+            (vertices, durations),
+            (np.vstack([first, vertices]), np.r_[SHORT_ARC * h, durations]),
+            (np.vstack([vertices, last]), np.r_[durations, SHORT_ARC * h]),
+        ):
+            switches = (seed[0][1:] != seed[0][:-1]).sum(axis=0).max(initial=0)
+            if max_switches is None or switches <= max_switches:
+                seeds.setdefault(seed[0].tobytes(), seed)
+    return list(seeds.values())
 
 
 def _shooting_transfer(piece, x_from, bounds, t_max):
@@ -346,67 +505,57 @@ def _shooting_transfer(piece, x_from, bounds, t_max):
         )
         t_max = max(10.0 * dist / speed, 10.0 / scale, 10.0 * piece.span)
 
-    directions = _sphere_directions(n, 64 * n)
-    misses, times = _scan_directions(piece, x_from, bounds, directions, t_max, SCAN_STEPS)
-    candidates = [
-        (miss, t_at, d) for miss, t_at, d in zip(misses, times, directions) if not np.isnan(t_at)
-    ]
-    candidates.sort(key=lambda c: c[0])
-    best_residual = candidates[0][0] if candidates else np.inf
-
-    for miss, t_at, d in candidates[:8]:
-        angles0 = _direction_to_angles(d)
-
-        def residual(z):
-            psi0 = _angles_to_direction(z[:-1])
-            T = abs(z[-1])
-            xT, _, _ = _terminal_state(piece, x_from, bounds, psi0, T)
-            return xT - piece.anchor
-
-        try:
-            sol = least_squares(
-                residual,
-                np.append(angles0, t_at),
-                xtol=1e-14,
-                ftol=1e-14,
-                gtol=1e-14,
-                max_nfev=400,
-            )
-        except Exception:
-            continue
-        res_norm = np.linalg.norm(sol.fun)
-        best_residual = min(best_residual, res_norm)
-        if res_norm < TERMINAL_TOL:
-            # unit length, with the sign the polish converged to: flipping it
-            # would flip the control
-            raw = _angles_to_direction(sol.x[:-1])
-            psi0 = raw / np.linalg.norm(raw)
-            T = abs(sol.x[-1])
-            xT, controls, psi = _terminal_state(piece, x_from, bounds, psi0, T)
-            return PieceSolution(
-                u_schedule=ControlSchedule(tuple(controls)),
-                transfer_time=T,
-                hamiltonian=hamiltonian(piece, psi0, x_from, controls[0][2]),
-                psi0=AdjointState(psi=psi0),
-            )
-    raise ShootingError(
-        f"costate shooting missed the target (best residual {best_residual:.3e})",
-        best_residual=best_residual,
-    )
-
-
-def _direction_to_angles(direction):
-    """Inverse of :func:`_angles_to_direction` (principal branch)."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    n = d.size
-    angles = np.zeros(n - 1)
-    for i in range(n - 1):
-        tail = np.linalg.norm(d[i:])
-        if tail == 0.0:
-            angles[i:] = 0.0
+    directions = np.array(_sphere_directions(n, 64 * n))
+    h = t_max / SCAN_STEPS
+    # Feldbaum: with real eigenvalues each control component switches at most n - 1 times
+    real = not np.iscomplex(np.linalg.eigvals(piece.A)).any()
+    best = None  # (T, vertices, durations, psi0) of the least certified T
+    closest = (np.inf, np.nan)  # (miss, T) of the best uncertified candidate
+    tried, seen = set(), 0.0  # vertex sequences solved so far, and the horizon they saw
+    prefixes = _scan_directions(piece, x_from, bounds, directions, h, SCAN_PREFIXES)
+    for steps, (misses, times) in zip(SCAN_PREFIXES, prefixes):
+        if steps < SCAN_STEPS:
+            # a ray still closing in at the prefix's end has not made its approach yet
+            times = np.where(times < steps * h, times, np.nan)
+        seeds = _seeds(piece, bounds, directions, misses, times, h, n - 1 if real else None)
+        for vertices, durations in seeds:
+            if vertices.tobytes() in tried and durations.sum() <= seen:
+                continue  # a shorter prefix seeded this sequence already
+            durations, miss = _fit_durations(piece, x_from, vertices, durations)
+            if miss <= TERMINAL_TOL:
+                # an arc that should vanish stays a little open: the miss
+                # grows only with its square
+                merged = _merge_arcs(vertices, durations)
+                if 0 < merged[1].size < durations.size:
+                    refit, refit_miss = _fit_durations(piece, x_from, *merged)
+                    if refit_miss <= TERMINAL_TOL:
+                        vertices, durations, miss = merged[0], refit, refit_miss
+            T = float(durations.sum())
+            if best is not None and T >= best[0]:
+                continue  # no better than a certified transfer
+            psi0 = None
+            if miss <= TERMINAL_TOL:
+                psi0 = _certificate(piece, bounds, x_from, vertices, durations)
+            if psi0 is None:
+                closest = min(closest, (miss, T))
+            else:
+                best = (T, vertices, durations, psi0)
+        tried.update(vertices.tobytes() for vertices, _ in seeds)
+        seen = steps * h
+        if best is not None and best[0] <= seen:
             break
-        angles[i] = np.arccos(np.clip(d[i] / tail, -1.0, 1.0))
-    if n >= 2 and d[-1] < 0.0:
-        angles[-1] = 2.0 * np.pi - angles[-1]
-    return angles
+    if best is None:
+        miss, T = closest
+        raise ShootingError(
+            f"costate shooting found no certified transfer (best uncertified T {T:.6g}, "
+            f"residual {miss:.3e})",
+            best_residual=miss,
+        )
+    _, vertices, durations, psi0 = best
+    ends = np.cumsum(durations)
+    return PieceSolution(
+        u_schedule=ControlSchedule(tuple(zip(np.r_[0.0, ends[:-1]], ends, vertices))),
+        transfer_time=float(ends[-1]),
+        hamiltonian=hamiltonian(piece, psi0, x_from, vertices[0]),
+        psi0=AdjointState(psi=psi0),
+    )

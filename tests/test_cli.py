@@ -477,6 +477,17 @@ class TestTwoStateSolve:
             ]
             x_from = piece.anchor
 
+    @pytest.mark.parametrize("num_pieces", [2, 4, 8, 16])
+    def test_transfers_no_longer_than_the_data(self, num_pieces):
+        # |u| <= 0.8 < 1 in the data, which the fit reproduces exactly, so
+        # the data's own control reaches every anchor within the piece's span
+        record = damped_oscillator_record()
+        bounds = ControlBounds(lower=[-1.0], upper=[1.0])
+        partition = TimePartition.uniform(record.t_start, record.t_end, num_pieces)
+        sol = solve_partition(record, partition, bounds)
+        spans = np.diff(partition.knots)
+        assert np.all(sol.transfer_times <= spans + 1e-9)
+
 
 SCALAR_RUN = textwrap.dedent(
     """

@@ -129,6 +129,16 @@ class TestAffineTransition:
         phi, gain = dynamics.affine_transition(A, 0.7)
         np.testing.assert_allclose(phi @ [0.3, 0.9] + gain @ v, expected[:2], rtol=1e-13)
 
+    def test_array_of_durations_stacks_single_calls(self):
+        A = np.array([[0.2, 1.0], [-0.5, 0.1]])
+        durations = np.array([0.0, 0.3, 1.7])
+        phis, gains = dynamics.affine_transition(A, durations)
+        assert phis.shape == gains.shape == (3, 2, 2)
+        for dt, phi, gain in zip(durations, phis, gains):
+            one_phi, one_gain = dynamics.affine_transition(A, dt)
+            np.testing.assert_array_equal(phi, one_phi)
+            np.testing.assert_array_equal(gain, one_gain)
+
     @pytest.mark.parametrize("a", [-3.0, -1e-9, 0.0, 1e-9, 2.0])
     def test_scalar_closed_form_matches_augmented_exponential(self, a):
         dt = 0.7

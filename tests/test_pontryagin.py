@@ -9,7 +9,6 @@ from deltaproc import (
     ControlSchedule,
     InfeasibleTransferError,
     LinearPiece,
-    ShootingError,
     TrivialCostateError,
     adjoint_solve,
     extremal_control,
@@ -295,8 +294,8 @@ class TestBatchedScan:
     def test_matches_per_direction_loop(self, A, x_from, t_max):
         piece = plant_piece(A)
         directions = pontryagin._sphere_directions(2, 24)
-        misses, times = pontryagin._scan_directions(
-            piece, np.array(x_from), UNIT_BOUNDS, directions, t_max, 400
+        ((misses, times),) = pontryagin._scan_directions(
+            piece, np.array(x_from), UNIT_BOUNDS, directions, t_max / 400, (400,)
         )
         for d, miss, t_at in zip(directions, misses, times):
             ref_miss, ref_t = self.scan_one(piece, x_from, d, t_max, 400)
@@ -306,8 +305,8 @@ class TestBatchedScan:
     @pytest.mark.filterwarnings("error")  # a stopped row must not overflow later
     def test_row_that_never_takes_a_finite_step(self):
         piece = plant_piece([[80.0, 0.0], [0.0, 0.0]])
-        misses, times = pontryagin._scan_directions(
-            piece, np.array([1.0, 0.0]), UNIT_BOUNDS, [np.array([1.0, 0.0])], 40.0, 100
+        ((misses, times),) = pontryagin._scan_directions(
+            piece, np.array([1.0, 0.0]), UNIT_BOUNDS, [np.array([1.0, 0.0])], 0.4, (100,)
         )
         assert misses[0] == np.inf and np.isnan(times[0])
 
@@ -354,21 +353,83 @@ class TestShootingClosedForms:
     @pytest.mark.parametrize("x_from", seeded_states(8, 5, oscillator_offsets))
     def test_oscillator_rotation_replay(self, x_from):
         sol = min_time_transfer(plant_piece(OSCILLATOR), x_from, UNIT_BOUNDS)
-        x = np.array(x_from, dtype=float)
-        for a, b, u in sol.u_schedule.segments:
-            # x - (u, 0) turns clockwise at unit rate about (u, 0)
-            c, s = np.cos(b - a), np.sin(b - a)
-            z = x - [u[0], 0.0]
-            x = np.array([c * z[0] + s * z[1], -s * z[0] + c * z[1]]) + [u[0], 0.0]
-        np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(rotation_replay(x_from, sol), [0.0, 0.0], atol=1e-6)
 
-    @pytest.mark.xfail(
-        raises=ShootingError,
-        strict=True,
-        reason="first bang arc much shorter than the scan step: the scan misses it",
-    )
     def test_short_first_arc_double_integrator(self):
         x_from = (-0.681, 1.154)
         sol = min_time_transfer(plant_piece(DOUBLE_INTEGRATOR), x_from, UNIT_BOUNDS)
         assert double_integrator_time(*x_from) == pytest.approx(1.1671, abs=1e-4)
         assert sol.transfer_time == pytest.approx(double_integrator_time(*x_from), abs=1e-6)
+
+    def test_short_first_arc_below_the_switching_curve(self):
+        # 0.015 below the curve: the first arc, on u = +1, lasts about 0.008
+        x_from = (-0.412, 0.891)
+        sol = min_time_transfer(plant_piece(DOUBLE_INTEGRATOR), x_from, UNIT_BOUNDS)
+        assert sol.transfer_time == pytest.approx(double_integrator_time(*x_from), abs=1e-6)
+        assert len(sol.switch_times) == 1 and sol.switch_times[0] < 0.01
+        assert_certified(plant_piece(DOUBLE_INTEGRATOR), x_from, sol)
+
+    def test_short_first_arc_oscillator(self):
+        # 0.002 inside the unit circle about (-1, 0)
+        x_from = (-0.953, 0.997)
+        sol = min_time_transfer(plant_piece(OSCILLATOR), x_from, UNIT_BOUNDS)
+        np.testing.assert_allclose(rotation_replay(x_from, sol), [0.0, 0.0], atol=1e-9)
+        assert sol.switch_times[0] < 0.01
+        assert_certified(plant_piece(OSCILLATOR), x_from, sol)
+
+    @pytest.mark.parametrize("x_from, u", [((-1.0, 1.0), -1.0), ((1.0, -1.0), 1.0)])
+    def test_oscillator_quarter_turn(self, x_from, u):
+        # the unit circle about (u, 0) passes through x_from and the origin
+        sol = min_time_transfer(plant_piece(OSCILLATOR), x_from, UNIT_BOUNDS)
+        assert sol.transfer_time == pytest.approx(np.pi / 2.0, abs=1e-9)
+        assert sol.switch_times == ()
+        assert sol.u_schedule.segments[0][2].tolist() == [u]
+        assert_certified(plant_piece(OSCILLATOR), x_from, sol)
+
+    def test_oscillator_with_two_switches(self):
+        # without the switch residuals, a three-arc solve settles on a longer,
+        # non-extremal transfer from here
+        sol = min_time_transfer(plant_piece(OSCILLATOR), (3.0, 0.0), UNIT_BOUNDS)
+        np.testing.assert_allclose(rotation_replay((3.0, 0.0), sol), [0.0, 0.0], atol=1e-9)
+        assert sol.transfer_time == pytest.approx(4.8377, abs=1e-4)
+        assert len(sol.switch_times) == 2
+        assert np.diff(sol.switch_times)[0] == pytest.approx(np.pi, abs=1e-9)
+        assert_certified(plant_piece(OSCILLATOR), (3.0, 0.0), sol)
+
+
+def rotation_replay(x_from, sol):
+    """End state of the oscillator's bang-bang schedule, by exact rotations."""
+    x = np.array(x_from, dtype=float)
+    for a, b, u in sol.u_schedule.segments:
+        # x - (u, 0) turns clockwise at unit rate about (u, 0)
+        c, s = np.cos(b - a), np.sin(b - a)
+        z = x - [u[0], 0.0]
+        x = np.array([c * z[0] + s * z[1], -s * z[0] + c * z[1]]) + [u[0], 0.0]
+    return x
+
+
+def assert_certified(piece, x_from, sol):
+    """The returned psi0 makes every segment's control extremal, H >= 0."""
+    psi = adjoint_solve(piece, sol.psi0.psi)
+    for a, b, u in sol.u_schedule.segments:
+        for t in np.linspace(a, b, 7)[1:-1]:
+            assert extremal_control(piece, psi(t), UNIT_BOUNDS).tolist() == u.tolist()
+    assert sol.hamiltonian >= -1e-9
+
+
+def states_near_switching_curve(seed, count):
+    """DI states 1e-6 to 1e-3 off the switching curve, in x1, on both sides."""
+    rng = np.random.default_rng(seed)
+    x2 = rng.uniform(0.05, 1.0, count) * rng.choice([-1.0, 1.0], count)
+    offset = 10.0 ** rng.uniform(-6.0, -3.0, count) * rng.choice([-1.0, 1.0], count)
+    return [(-v * abs(v) / 2.0 + d, v) for v, d in zip(x2, offset)]
+
+
+class TestShootingNearSwitchingCurve:
+    @pytest.mark.parametrize("x_from", states_near_switching_curve(11, 48))
+    def test_double_integrator_closed_form(self, x_from):
+        piece = plant_piece(DOUBLE_INTEGRATOR)
+        sol = min_time_transfer(piece, x_from, UNIT_BOUNDS)
+        assert sol.transfer_time == pytest.approx(double_integrator_time(*x_from), abs=1e-6)
+        assert len(sol.switch_times) == 1
+        assert_certified(piece, x_from, sol)
