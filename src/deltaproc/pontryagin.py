@@ -10,7 +10,9 @@ initial costates are normalized to unit length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,14 @@ SEED_RAYS = 8
 SCAN_PREFIXES = (SCAN_STEPS // 16, SCAN_STEPS // 4, SCAN_STEPS)
 # Residual evaluations allowed to one arc-duration solve.
 MAX_NFEV = 20
+# An arc-duration solve also ends when a step that the model predicted well
+# lowers the cost by less than this fraction of itself.  Near a root
+# Gauss-Newton cuts the cost by orders of magnitude per step, so only a solve
+# that stalls short of the anchor ends this way.
+STALL_FTOL = 1e-4
+# ... and when the Coleman-Li scaled gradient falls below this: the residual
+# has reached zero to rounding.
+GRADIENT_TOL = 1e-15
 # Length, in scan steps, of the opposite-vertex arc that a seed adds in front or behind.
 SHORT_ARC = 0.5
 # Arcs no longer than this (time units) are dropped from a solved arc
@@ -45,13 +55,222 @@ CERT_SAMPLES = 2001
 CERT_TOL = 1e-6
 
 
-# scipy serves only n >= 2 shooting, so it is imported on the first such call
-# and scalar runs never load it.  The solver calls ``expm`` and this wrapper
-# through their module names here.
-def least_squares(fun, x0, **kwargs):
-    from scipy.optimize import least_squares as scipy_least_squares
+class LeastSquaresResult(NamedTuple):
+    """Solved durations ``x``, their residuals ``fun`` and the evaluations spent."""
 
-    return scipy_least_squares(fun, x0, **kwargs)
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+
+
+# The shooting solver calls ``expm`` and this solver through their module
+# names here, so that a tracer can count them.
+def least_squares(flow, x0):
+    """Durations d >= 0 near x0 that minimise the cost |r(d)|^2 / 2.
+
+    ``flow(d)`` returns the residuals r and their Jacobian from one pass.  This
+    is Coleman & Li's reflective trust region (SIAM J. Optim. 6, 1996) on the
+    one bound d >= 0, as scipy's ``trf`` takes it with exact subproblems, cut
+    down to the few unknowns of an arc sequence.  Each iteration scales the
+    Gauss-Newton model by the distance to the bound that the gradient points
+    at, and solves its trust-region subproblem from one SVD.  A step that
+    would cross d = 0 is cut there, reflected off the bound or replaced by the
+    scaled anti-gradient, whichever the model prefers.  A solve ends after
+    MAX_NFEV evaluations, when the scaled gradient vanishes (GRADIENT_TOL), or
+    when a step whose actual cost reduction is more than a quarter of the
+    predicted one lowers the cost by less than STALL_FTOL of itself.  ``nfev``
+    counts every evaluation, rejected trial steps included.
+    """
+    x = np.maximum(np.asarray(x0, dtype=float), 1e-10)  # strictly inside the bound
+    f, J = flow(x)
+    nfev = 1
+    cost = 0.5 * (f @ f)
+    g = J.T @ f
+    radius = _norm(x / np.sqrt(np.where(g > 0.0, x, 1.0))) or 1.0
+    alpha = 0.0  # the Levenberg-Marquardt parameter of the last subproblem
+    stalled = False
+    while nfev < MAX_NFEV and not stalled:
+        # v is the distance to d = 0 where the gradient points at the bound
+        toward = g > 0.0
+        v = np.where(toward, x, 1.0)
+        g_norm = np.abs(g * v).max()
+        if not g_norm >= GRADIENT_TOL:  # also a residual that is not finite
+            break
+        scale = np.sqrt(v)
+        diag_h = np.where(toward, g, 0.0)
+        g_h = scale * g
+        J_h = J * scale
+        augmented = np.vstack([J_h, np.diag(np.sqrt(diag_h))])
+        u, s, vt = np.linalg.svd(augmented, full_matrices=False)
+        uf = u[: f.size].T @ f
+        theta = max(0.995, 1.0 - g_norm)  # how far short of the bound a step stops
+        reduction = -1.0
+        while reduction <= 0.0 and nfev < MAX_NFEV:
+            p_h, alpha = _trust_region_step(f.size, uf, s, vt, radius, alpha)
+            step, step_h, predicted = _reflective_step(
+                x, J_h, diag_h, g_h, p_h, scale, radius, theta
+            )
+            x_new = np.maximum(x + step, np.nextafter(0.0, 1.0))
+            f_new, J_new = flow(x_new)
+            nfev += 1
+            step_h_norm = _norm(step_h)
+            if not np.isfinite(f_new).all():
+                radius = 0.25 * step_h_norm
+                continue
+            cost_new = 0.5 * (f_new @ f_new)
+            reduction = cost - cost_new
+            if predicted > 0.0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1.0 if predicted == reduction == 0.0 else 0.0
+            if ratio > 0.25 and reduction < STALL_FTOL * cost:
+                stalled = True
+                break
+            if ratio < 0.25:
+                new_radius = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * radius:
+                new_radius = 2.0 * radius
+            else:
+                new_radius = radius
+            alpha *= radius / new_radius
+            radius = new_radius
+        if reduction > 0.0:
+            x, f, J, cost = x_new, f_new, J_new, cost_new
+            g = J.T @ f
+    return LeastSquaresResult(x, f, nfev)
+
+
+def _trust_region_step(m, uf, s, vt, radius, alpha):
+    """The least-squares step p with |p| <= radius, and its Levenberg-Marquardt alpha.
+
+    The model is the augmented system of SVD u diag(s) vt with m residual rows,
+    and uf = u^T f.  When the Gauss-Newton step of a full-rank system fits, it
+    is the answer (alpha = 0); otherwise alpha, started from the last one, is
+    found by Moré's safeguarded Newton iteration on |p(alpha)| = radius
+    (Lecture Notes in Mathematics 630, 1977), as in MINPACK.
+    """
+    suf = s * uf
+    full_rank = m >= s.size and s[-1] > np.finfo(float).eps * m * s[0]
+    if full_rank:
+        p = -vt.T @ (uf / s)
+        if _norm(p) <= radius:
+            return p, 0.0
+
+    def excess(alpha):
+        """|p(alpha)| - radius and its derivative in alpha."""
+        denom = s**2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - radius, -np.sum(suf**2 / denom**3) / p_norm
+
+    upper = _norm(suf) / radius
+    lower = 0.0
+    if full_rank:
+        phi, phi_prime = excess(0.0)
+        lower = -phi / phi_prime
+    elif alpha == 0.0:
+        alpha = 0.001 * upper
+    for _ in range(10):
+        if alpha < lower or alpha > upper:
+            alpha = max(0.001 * upper, (lower * upper) ** 0.5)
+        phi, phi_prime = excess(alpha)
+        if phi < 0.0:
+            upper = alpha
+        ratio = phi / phi_prime
+        lower = max(lower, alpha - ratio)
+        alpha -= (phi + radius) * ratio / radius
+        if abs(phi) < 0.01 * radius:
+            break
+    p = -vt.T @ (suf / (s**2 + alpha))
+    return p * (radius / _norm(p)), alpha
+
+
+def _reflective_step(x, J_h, diag_h, g_h, p_h, scale, radius, theta):
+    """trf's step from x >= 0: (step, step in scaled variables, predicted reduction).
+
+    The scaled model is m(p) = |J_h p|^2 / 2 + p^T diag(diag_h) p / 2 + g_h^T p,
+    and a scaled step p maps to scale * p.  A trust-region step p_h that keeps
+    x + step >= 0 is taken whole.  Otherwise three candidates compete on the
+    model: p_h cut at the bound and pulled back to theta of that, its
+    reflection off the bound from there, and the scaled anti-gradient.
+    """
+    p = scale * p_h
+    if (x + p >= 0.0).all():
+        return p, p_h, -_model(J_h, diag_h, g_h, p_h)
+
+    stride, hits = _to_bound(x, p)
+    r_h = np.where(hits, -p_h, p_h)
+    r = scale * r_h
+    p, p_h = p * stride, p_h * stride
+    # the reflected ray leaves the trust region or meets the bound again
+    a, b, c = r_h @ r_h, p_h @ r_h, p_h @ p_h - radius**2
+    q = -(b + math.copysign(np.sqrt(b * b - a * c), b))
+    to_tr = max(q / a, c / q)
+    to_bound, _ = _to_bound(x + p, r)
+    r_stride = min(to_bound, to_tr)
+    if r_stride > 0.0:
+        r_lo = (1.0 - theta) * stride / r_stride
+        r_hi = theta * to_bound if r_stride == to_bound else to_tr
+    else:
+        r_lo, r_hi = 0.0, -1.0
+    r_value = np.inf
+    if r_lo <= r_hi:
+        r_stride, r_value = _line_min(J_h, diag_h, g_h, r_h, r_lo, r_hi, p_h)
+        r_h = r_h * r_stride + p_h
+        r = r_h * scale
+    p, p_h = p * theta, p_h * theta
+    p_value = _model(J_h, diag_h, g_h, p_h)
+
+    ag_h = -g_h
+    ag = scale * ag_h
+    to_tr = radius / _norm(ag_h)
+    to_bound, _ = _to_bound(x, ag)
+    ag_stride, ag_value = _line_min(
+        J_h, diag_h, g_h, ag_h, 0.0, theta * to_bound if to_bound < to_tr else to_tr
+    )
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    return ag * ag_stride, ag_h * ag_stride, -ag_value
+
+
+def _to_bound(x, step):
+    """The least t >= 0 with x + t step on d = 0 (inf if none), and the components there."""
+    strides = np.full(x.size, np.inf)
+    down = step < 0.0
+    strides[down] = -x[down] / step[down]
+    t = strides.min()
+    return t, strides == t
+
+
+def _norm(v):
+    """Euclidean length of a 1-D array: np.linalg.norm's arithmetic, without its overhead."""
+    return math.sqrt(v @ v)
+
+
+def _model(J_h, diag_h, g_h, p_h):
+    """The scaled model of :func:`_reflective_step` at p_h."""
+    Jp = J_h @ p_h
+    return 0.5 * (Jp @ Jp + (p_h * diag_h) @ p_h) + p_h @ g_h
+
+
+def _line_min(J_h, diag_h, g_h, s, lo, hi, s0=None):
+    """(t, model value) that minimise the model at s0 + t s over lo <= t <= hi."""
+    Js = J_h @ s
+    a = 0.5 * (Js @ Js + (s * diag_h) @ s)
+    b = g_h @ s
+    c = 0.0
+    if s0 is not None:
+        Js0 = J_h @ s0
+        b += Js0 @ Js
+        b += (s0 * diag_h) @ s
+        c = 0.5 * (Js0 @ Js0) + g_h @ s0 + 0.5 * ((s0 * diag_h) @ s0)
+    ts = [lo, hi]
+    if a != 0.0 and lo < -0.5 * b / a < hi:
+        ts.append(-0.5 * b / a)
+    values = [t * (a * t + b) + c for t in ts]
+    best = int(np.argmin(values))
+    return ts[best], values[best]
 
 
 @dataclass(frozen=True)
@@ -361,7 +580,7 @@ def _arc_flow(piece, x_from, vertices, durations):
     residuals = [x - piece.anchor]
     for row, (j, c) in enumerate(switches[1:], start=x.size):
         i, a = switches[0]
-        scale = np.linalg.norm(a) * np.linalg.norm(c)
+        scale = _norm(a) * _norm(c)
         residuals.append([_det(a, c) / scale])
         jac[row, : i + 1] += _det(-A @ a, c) / scale
         jac[row, : j + 1] += _det(a, -A @ c) / scale
@@ -374,26 +593,9 @@ def _det(a, c):
 
 def _fit_durations(piece, x_from, vertices, durations):
     """Arc durations >= 0 that zero the residuals of :func:`_arc_flow`, and the
-    end state's miss of the anchor.  ``least_squares`` gets the analytic
-    Jacobian from the same forward pass as the residuals."""
-    memo = [None, None]  # the durations last flowed, and their flow
-
-    def flow(d):
-        if memo[0] is None or not np.array_equal(memo[0], d):
-            memo[:] = d.copy(), _arc_flow(piece, x_from, vertices, d)
-        return memo[1]
-
-    sol = least_squares(
-        lambda d: flow(d)[0],
-        durations,
-        jac=lambda d: flow(d)[1],
-        bounds=(0.0, np.inf),
-        xtol=1e-15,
-        ftol=1e-10,  # stops a solve that stalls short of the anchor
-        gtol=1e-15,
-        max_nfev=MAX_NFEV,
-    )
-    return sol.x, float(np.linalg.norm(sol.fun[: piece.n]))
+    end state's miss of the anchor."""
+    sol = least_squares(lambda d: _arc_flow(piece, x_from, vertices, d), durations)
+    return sol.x, _norm(sol.fun[: piece.n])
 
 
 def _merge_arcs(vertices, durations):

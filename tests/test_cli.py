@@ -527,23 +527,55 @@ SCALAR_RUN = textwrap.dedent(
 )
 
 
+SWITCHING_RUN = textwrap.dedent(
+    """
+    import json, sys
+    import deltaproc
+
+    piece = deltaproc.LinearPiece(
+        A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], t_start=0.0, t_end=1.0,
+        anchor=[0.0, 0.0],
+    )
+    bounds = deltaproc.ControlBounds(lower=[-1.0], upper=[1.0])
+    sol = deltaproc.min_time_transfer(piece, [0.5, 0.5], bounds)
+    print(json.dumps({
+        "switches": len(sol.switch_times),
+        "loads_scipy_linalg": "scipy.linalg" in sys.modules,
+        "loads_scipy_optimize": "scipy.optimize" in sys.modules,
+    }))
+    """
+)
+
+
+def run_fresh(script, *args):
+    """The last output line of ``script`` in a fresh interpreter, as JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deltaproc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestImportCost:
     def test_scalar_paths_leave_scipy_unloaded(self, tmp_path):
         # a fresh interpreter: this test process has loaded scipy already
         data = tmp_path / "data.csv"
         record = dense_reference_record(example1(), 1.0, num_samples=201, step=1e-3)
         write_trajectories(data, [record])
-        src = os.path.dirname(os.path.dirname(os.path.abspath(deltaproc.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", SCALAR_RUN, str(data), str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        result = json.loads(done.stdout.splitlines()[-1])
+        result = run_fresh(SCALAR_RUN, str(data), str(tmp_path / "out"))
         assert result["codes"] == [EXIT_OK] * 4
         assert result["scalar_loads_scipy"] is False
         # the double integrator's closed form: 0.114 + 2 sqrt(0.761 + 0.114^2 / 2)
         expected = 0.114 + 2.0 * np.sqrt(0.761 + 0.114**2 / 2.0)
         assert result["transfer_time"] == pytest.approx(expected, abs=1e-6)
         assert result["switches"] == 1
+
+    def test_switching_transfer_leaves_scipy_optimize_unloaded(self):
+        # the arc-duration solve is in-house; only expm needs scipy.linalg
+        result = run_fresh(SWITCHING_RUN)
+        assert result == {
+            "switches": 1, "loads_scipy_linalg": True, "loads_scipy_optimize": False,
+        }

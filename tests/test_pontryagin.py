@@ -433,3 +433,92 @@ class TestShootingNearSwitchingCurve:
         assert sol.transfer_time == pytest.approx(double_integrator_time(*x_from), abs=1e-6)
         assert len(sol.switch_times) == 1
         assert_certified(piece, x_from, sol)
+
+
+class TestShootingRandomPieces:
+    # random pieces, anchor 0, unit box; real eigenvalues, so the extremal
+    # is the optimum.  From its seed (0.630, 0.053) the n = 2 solve crosses a
+    # flat stretch at miss 0.0118 before it converges, which the stall test
+    # must not end.
+    @pytest.mark.parametrize(
+        "A, B, x_from, expected, switches",
+        [
+            (
+                [
+                    [-0.02601736395641648, 0.7075118939065392, -0.4668803461946416],
+                    [-0.08936155966732771, 0.08837131459958447, 0.05102541940404957],
+                    [-0.9800446611341548, 0.06091218430160648, 1.0870587373932301],
+                ],
+                [[-1.5471446781284823], [0.8593826880215982], [0.11935402569658124]],
+                [0.7426787533857613, -0.2774718819716848, 0.19636813441442613],
+                1.2569720489862652,
+                2,
+            ),
+            (
+                [
+                    [-0.08189620897072059, -0.16002436031461487],
+                    [0.06813417595691727, 0.14020876151908587],
+                ],
+                [[-0.5307436711234165], [-0.03262829758865476]],
+                [-0.35584328957464106, -0.02343254239303727],
+                1.7291928067608073,
+                1,
+            ),
+        ],
+    )
+    def test_transfer_time(self, A, B, x_from, expected, switches):
+        piece = LinearPiece(A=A, B=B, t_start=0.0, t_end=1.0, anchor=np.zeros(len(A)))
+        sol = min_time_transfer(piece, x_from, UNIT_BOUNDS)
+        assert sol.transfer_time == pytest.approx(expected, abs=1e-9)
+        assert len(sol.switch_times) == switches
+        assert_certified(piece, x_from, sol)
+
+
+class TestArcDurationSolve:
+    X_FROM = np.array([0.9581002401455487, -0.08740344741630346])
+
+    def test_stalled_seeds_stop_early(self, monkeypatch):
+        # neither seed can reach the anchor: a solve that runs to MAX_NFEV
+        # spends 15 + 20 evaluations on them
+        nfev = []
+        least_squares = pontryagin.least_squares
+
+        def counted(*args, **kwargs):
+            result = least_squares(*args, **kwargs)
+            nfev.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(pontryagin, "least_squares", counted)
+        piece = plant_piece(DOUBLE_INTEGRATOR)
+        for vertices, durations in [([[1.0]], [0.075]), ([[1.0], [-1.0]], [0.075, 0.0125])]:
+            durations, miss = pontryagin._fit_durations(
+                piece, self.X_FROM, np.array(vertices), np.array(durations)
+            )
+            assert miss == pytest.approx(0.954, abs=1e-3)
+            assert np.all(durations >= 0.0)
+        assert len(nfev) == 2 and sum(nfev) <= 17
+
+    def test_reaching_seed_still_converges(self):
+        piece = plant_piece(DOUBLE_INTEGRATOR)
+        durations, miss = pontryagin._fit_durations(
+            piece, self.X_FROM, np.array([[-1.0], [1.0]]), np.array([0.225, 0.3])
+        )
+        assert miss <= 1e-12
+        assert np.all(durations >= 0.0)
+        assert durations.sum() == pytest.approx(double_integrator_time(*self.X_FROM), abs=1e-9)
+        assert double_integrator_time(*self.X_FROM) == pytest.approx(1.8741468797032186, abs=1e-15)
+
+    def test_bound_holds_and_every_evaluation_counts(self):
+        # r(d) = d - c: the second duration wants to go negative and stays at the bound
+        target = np.array([1.0, -1.0])
+        calls = []
+
+        def flow(d):
+            calls.append(d.copy())
+            return d - target, np.eye(2)
+
+        result = pontryagin.least_squares(flow, np.array([0.5, 0.5]))
+        assert result.nfev == len(calls)
+        assert all(np.all(d >= 0.0) for d in calls)
+        assert result.x[0] == pytest.approx(1.0, abs=1e-6) and 0.0 <= result.x[1] <= 1e-6
+        np.testing.assert_array_equal(result.fun, result.x - target)
