@@ -32,11 +32,9 @@ from .errors import (
     TrivialCostateError,
 )
 from .fitting import (
-    FitConditions,
     TrajectoryRecord,
     estimate_derivatives,
     fit_model,
-    fit_piece,
     fit_piece_general,
     ingest_trajectories,
     write_trajectories,

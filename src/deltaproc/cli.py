@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ControlBounds, TimePartition
+from .dynamics import ControlBounds, TimePartition, check_step
 from .errors import (
     DeltaProcError,
     DivergenceError,
@@ -35,7 +35,6 @@ from .procedure import (
 )
 from .reference import (
     BENCHMARK_CASES,
-    check_step,
     dense_reference_record,
     example1,
     sample_reference,

@@ -72,10 +72,9 @@ class ControlBounds:
 
 @dataclass(frozen=True)
 class TimePartition:
-    """Strictly increasing knots covering the horizon, with refinement index m."""
+    """Strictly increasing knots covering the horizon."""
 
     knots: np.ndarray
-    m: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "knots", as_vector(self.knots, "knots"))
@@ -83,8 +82,6 @@ class TimePartition:
             raise ValueError("a partition needs at least two knots")
         if not np.all(np.diff(self.knots) > 0):
             raise ValueError("partition knots must be strictly increasing")
-        if self.m < 1:
-            raise ValueError("refinement index m must be >= 1")
 
     @property
     def t0(self):
@@ -99,8 +96,8 @@ class TimePartition:
         return self.knots.size - 1
 
     @classmethod
-    def uniform(cls, t0, t1, num_pieces, m=1):
-        return cls(np.linspace(t0, t1, num_pieces + 1), m=m)
+    def uniform(cls, t0, t1, num_pieces):
+        return cls(np.linspace(t0, t1, num_pieces + 1))
 
 
 @dataclass(frozen=True)
@@ -327,6 +324,14 @@ def affine_transition(A, dt):
     return E[..., :n, :n], E[..., :n, n:]
 
 
+def check_step(step):
+    """Raise ``ValueError`` unless ``step`` is a positive, finite grid step."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    if not np.isfinite(step):
+        raise ValueError("step must be finite")
+
+
 def _check_finite(x, t_valid):
     if not np.all(np.isfinite(x)) or np.any(np.abs(x) > BLOWUP_LIMIT):
         raise DivergenceError(f"state diverged after t={t_valid:.6g}", last_valid_time=t_valid)
@@ -336,10 +341,10 @@ def integrate(rhs, x0, schedule: ControlSchedule, step) -> Trajectory:
     """Fixed-step RK4 simulation of ``rhs(t, x, u)`` under a control schedule.
 
     Samples are taken at global multiples of ``step`` plus every segment
-    boundary.  Raises :class:`DivergenceError` when the state blows up.
+    boundary.  Raises ``ValueError`` for a ``step`` that is not positive or
+    not finite, and :class:`DivergenceError` when the state blows up.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    check_step(step)
     x = as_vector(x0, "x0").copy()
     t = schedule.t_start
     times = [t]

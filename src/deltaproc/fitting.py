@@ -47,81 +47,18 @@ class TrajectoryRecord(Trajectory):
             raise ValueError("sample times must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class FitConditions:
-    """Endpoint interpolation conditions for one scalar subinterval."""
-
-    x_left: float
-    x_right: float
-    dx_left: float
-    dx_right: float
-    u_data: float
-
-    def __post_init__(self):
-        vals = (self.x_left, self.x_right, self.dx_left, self.dx_right, self.u_data)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("fit conditions must be finite")
-
-
 def estimate_derivatives(record: TrajectoryRecord) -> TrajectoryRecord:
-    """Fill the derivative column by second-order finite differences.
+    """Fill the derivative column by numpy's second-order finite differences.
 
-    Central differences at interior samples, one-sided three-point stencils at
-    the endpoints; both are exact on quadratics.  A record that already has
-    derivatives is returned unchanged.
+    ``np.gradient`` with ``edge_order=2``: central differences at interior
+    samples, one-sided three-point stencils at the endpoints, both exact on
+    quadratics.  A record that already has derivatives is returned unchanged.
     """
     if record.dx is not None:
         return record
     if record.t.size < 3:
         raise ValueError("derivative estimation needs at least 3 samples")
-    t, x = record.t, record.x
-    dx = np.empty_like(x)
-    for j in range(x.shape[1]):
-        dx[:, j] = _diff_nonuniform(t, x[:, j])
-    return replace(record, dx=dx)
-
-
-def _diff_nonuniform(t, y):
-    """Second-order differentiation on a possibly non-uniform grid."""
-    dy = np.empty(t.size)
-    h1 = t[1:-1] - t[:-2]
-    h2 = t[2:] - t[1:-1]
-    dy[1:-1] = (
-        -h2 / (h1 * (h1 + h2)) * y[:-2]
-        + (h2 - h1) / (h1 * h2) * y[1:-1]
-        + h1 / (h2 * (h1 + h2)) * y[2:]
-    )
-    h1 = t[1] - t[0]
-    h2 = t[2] - t[1]
-    dy[0] = (
-        -(2 * h1 + h2) / (h1 * (h1 + h2)) * y[0]
-        + (h1 + h2) / (h1 * h2) * y[1]
-        - h1 / (h2 * (h1 + h2)) * y[2]
-    )
-    h1 = t[-2] - t[-3]
-    h2 = t[-1] - t[-2]
-    dy[-1] = (
-        h2 / (h1 * (h1 + h2)) * y[-3]
-        - (h1 + h2) / (h1 * h2) * y[-2]
-        + (h1 + 2 * h2) / (h2 * (h1 + h2)) * y[-1]
-    )
-    return dy
-
-
-def fit_piece(cond: FitConditions):
-    """Exact scalar (a, b) from the two endpoint interpolation conditions.
-
-    Solves a*x_left + b*u = dx_left and a*x_right + b*u = dx_right.
-    """
-    if np.isclose(cond.x_left, cond.x_right):
-        raise SingularFitError(
-            f"endpoint states coincide (x={cond.x_left}); the 2x2 system is singular"
-        )
-    if cond.u_data == 0.0:
-        raise SingularFitError("u_data = 0 leaves the input coefficient unidentifiable")
-    a = (cond.dx_right - cond.dx_left) / (cond.x_right - cond.x_left)
-    b = (cond.dx_left - a * cond.x_left) / cond.u_data
-    return a, b
+    return replace(record, dx=np.gradient(record.x, record.t, axis=0, edge_order=2))
 
 
 def fit_piece_general(xs, us, dxs):
@@ -198,12 +135,14 @@ def fit_model(
 
 
 def _endpoint_solve(rec: TrajectoryRecord, knots):
-    """The scalar two-endpoint solve of :func:`fit_piece` on every subinterval.
+    """The scalar (a, b) of every subinterval from its two endpoint conditions.
 
-    Returns the states at the knots, a, b and a mask of the subintervals
-    whose solve stands.  The others (coinciding endpoint states, non-finite
-    conditions or coefficients, u_data = 0) are left to
-    :func:`_fit_subinterval`, which falls back to least squares or raises.
+    Solves a*x_l + b*u = dx_l and a*x_r + b*u = dx_r, with x and dx
+    interpolated at both knots and u at the left knot.  Returns the states at
+    the knots, a, b and a mask of the subintervals whose solve stands.  The
+    others (coinciding endpoint states, non-finite conditions, u = 0) are
+    left to :func:`_fit_subinterval`, which falls back to least squares or
+    raises.
     """
     x = rec.interp_state(knots)[:, 0]
     dx = rec.interp_derivative(knots)[:, 0]
@@ -212,28 +151,27 @@ def _endpoint_solve(rec: TrajectoryRecord, knots):
     with np.errstate(all="ignore"):
         a = (dx[1:] - dx[:-1]) / (x_r - x_l)
         b = (dx[:-1] - a * x_l) / u
-    finite_x = np.isfinite(x)
-    # a non-finite dx, or u = 0, leaves a or b non-finite
-    solved = (
-        finite_x[:-1] & finite_x[1:] & np.isfinite(u)
-        & ~np.isclose(x_l, x_r)
-        & np.isfinite(a) & np.isfinite(b)
-    )
+    finite = np.isfinite(x) & np.isfinite(dx)
+    solved = finite[:-1] & finite[1:] & np.isfinite(u) & (u != 0.0) & ~np.isclose(x_l, x_r)
     return x, a, b, solved
 
 
 def _fit_subinterval(rec: TrajectoryRecord, t_l, t_r):
+    """Least-squares (A, B) over the samples of [t_l, t_r].
+
+    :func:`fit_model` sends here every subinterval of an n >= 2 record and
+    the scalar ones its endpoint solve leaves.  Of those, one whose endpoint
+    states coincide is fitted; any other raises: ``ValueError`` for a
+    non-finite condition, else :class:`SingularFitError` for u = 0.
+    """
     if rec.n == 1 and rec.r == 1:
-        x_l = float(rec.interp_state(t_l)[0])
-        x_r = float(rec.interp_state(t_r)[0])
-        dx_l = float(rec.interp_derivative(t_l)[0])
-        dx_r = float(rec.interp_derivative(t_r)[0])
-        u_data = float(rec.interp_control(t_l)[0])
+        ends = np.array([t_l, t_r])
+        x_l, x_r = rec.interp_state(ends)[:, 0]
         if not np.isclose(x_l, x_r):
-            cond = FitConditions(x_l, x_r, dx_l, dx_r, u_data)
-            a, b = fit_piece(cond)
-            return np.array([[a]]), np.array([[b]])
-        # degenerate endpoints: fall through to least squares on the samples
+            conditions = [x_l, x_r, *rec.interp_derivative(ends)[:, 0], *rec.interp_control(t_l)]
+            if not np.isfinite(conditions).all():
+                raise ValueError("fit conditions must be finite")
+            raise SingularFitError("u_data = 0 leaves the input coefficient unidentifiable")
     mask = (rec.t >= t_l - 1e-12) & (rec.t <= t_r + 1e-12)
     xs, us, dxs = rec.x[mask], rec.u[mask], rec.dx[mask]
     if xs.shape[0] < rec.n + rec.r:

@@ -377,15 +377,17 @@ def min_time_transfer(
     piece: LinearPiece,
     x_from,
     bounds: ControlBounds,
-    t_max=None,
 ) -> PieceSolution:
     """Minimal-time transfer from x_from to the piece anchor.
 
     Scalar state uses the closed-form logarithmic transfer time under the
     feasible costate ray, and raises :class:`InfeasibleTransferError` when
     no vertex control reaches the target.  For n >= 2 a batched scan of unit
-    costate rays over [0, t_max] seeds arc sequences on box vertices; their
-    durations are solved so that the bang-bang trajectory ends at the anchor.
+    costate rays over [0, t_max] seeds arc sequences on box vertices.  The
+    horizon t_max is ten times the longest of three time scales: the distance
+    to the anchor over the slowest vertex drive |B v|, 1/||A||_2 and the
+    piece's span (drive and norm floored at 1e-6).  The arcs' durations are
+    solved so that the bang-bang trajectory ends at the anchor.
     A solution counts only with a certificate: a unit initial costate whose
     switching function has each arc's vertex sign, vanishes at the switches
     and gives H >= 0.  The least certified transfer time is returned;
@@ -401,7 +403,7 @@ def min_time_transfer(
         )
     if piece.n == 1:
         return _scalar_transfer(piece, x_from, bounds)
-    return _shooting_transfer(piece, x_from, bounds, t_max)
+    return _shooting_transfer(piece, x_from, bounds)
 
 
 def _scalar_transfer(piece, x_from, bounds):
@@ -434,10 +436,13 @@ def scalar_transfers(a, B, x0, xf, bounds):
 
     ``a``, ``x0`` and ``xf`` hold one entry per row and ``B`` one row of r
     gains.  Each costate ray psi0 = +1, -1 drives with the vertex control
-    that maximises psi0 B u; the ray +1 wins ties.  The log formula needs
-    a x + drive to keep one sign over the whole path; equivalently both
-    endpoint speeds must share the direction of travel.  Returns the arrays
-    T, u*, psi0 and H = psi0 (a x0 + B u*).  A row with
+    that maximises psi0 B u; the ray +1 wins ties.  With the start speed
+    s0 = a x0 + drive and z = a (xf - x0) / s0, the time to xf is
+    T = (xf - x0) / s0 * log1p(z) / z, the factor read as 1 at z = 0.  That
+    is log(sf / s0) / a without its cancellation at small |a|, and
+    (xf - x0) / drive at a = 0.  A ray reaches xf iff T is finite and
+    positive and z > -1: the speed keeps its sign along the path.  Returns
+    the arrays T, u*, psi0 and H = psi0 (a x0 + B u*).  A row with
     |x0 - xf| <= ZERO_STATE_TOL is trivial (T = 0, psi0 = +1, H = 0); a row
     that neither ray can reach has T = nan.
     """
@@ -445,16 +450,16 @@ def scalar_transfers(a, B, x0, xf, bounds):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if bounds.r != B.shape[1]:
         raise DimensionMismatchError(f"bounds dim {bounds.r} != piece input dim {B.shape[1]}")
-    linear = a == 0.0
+    dist = xf - x0
     rays = []
     with np.errstate(all="ignore"):
         for psi0 in (1.0, -1.0):
             u = np.where(B * psi0 < 0.0, bounds.lower, bounds.upper)
             drive = (B * u).sum(axis=1)
             s0 = a * x0 + drive
-            sf = a * xf + drive
-            t = np.where(linear, (xf - x0) / drive, np.log(sf / s0) / a)
-            reach = (t > 0.0) & np.where(linear, drive != 0.0, np.sign(s0) == np.sign(sf))
+            z = a * dist / s0
+            t = dist / s0 * np.where(z == 0.0, 1.0, np.log1p(z) / z)
+            reach = np.isfinite(t) & (t > 0.0) & (z > -1.0)
             rays.append((t, u, drive, reach))
     (t_plus, u_plus, drive_plus, reach_plus), (t_minus, u_minus, drive_minus, reach_minus) = rays
     minus = reach_minus & (~reach_plus | (t_minus < t_plus))
@@ -697,15 +702,12 @@ def _seeds(piece, bounds, directions, misses, times, h, max_switches):
     return list(seeds.values())
 
 
-def _shooting_transfer(piece, x_from, bounds, t_max):
+def _shooting_transfer(piece, x_from, bounds):
     n = piece.n
-    if t_max is None:
-        scale = max(np.linalg.norm(piece.A, 2), 1e-6)
-        dist = np.linalg.norm(x_from - piece.anchor)
-        speed = max(
-            min(np.linalg.norm(piece.B @ v) for v in bounds.vertices()), 1e-6
-        )
-        t_max = max(10.0 * dist / speed, 10.0 / scale, 10.0 * piece.span)
+    scale = max(np.linalg.norm(piece.A, 2), 1e-6)
+    dist = np.linalg.norm(x_from - piece.anchor)
+    speed = max(min(np.linalg.norm(piece.B @ v) for v in bounds.vertices()), 1e-6)
+    t_max = max(10.0 * dist / speed, 10.0 / scale, 10.0 * piece.span)
 
     directions = np.array(_sphere_directions(n, 64 * n))
     h = t_max / SCAN_STEPS

@@ -221,7 +221,7 @@ def refine_partition(partition: TimePartition, strategy=REFINE_DOUBLE) -> TimePa
         new = np.sort(np.append(knots, mid))
     else:
         raise ValueError(f"unknown refinement strategy {strategy!r}")
-    return TimePartition(new, m=partition.m + 1)
+    return TimePartition(new)
 
 
 def run_delta(record: TrajectoryRecord, config: DeltaConfig) -> DeltaResult:
@@ -230,9 +230,7 @@ def run_delta(record: TrajectoryRecord, config: DeltaConfig) -> DeltaResult:
     Non-convergence within the refinement budget is reported through the
     ``converged`` flag, not as an error.
     """
-    partition = TimePartition.uniform(
-        record.t_start, record.t_end, config.initial_N, m=1
-    )
+    partition = TimePartition.uniform(record.t_start, record.t_end, config.initial_N)
     trace = []
     prev_total = None
     solution = None

@@ -29,6 +29,7 @@ from .dynamics import (
     ControlBounds,
     PiecewiseLinearModel,
     as_vector,
+    check_step,
     rk4_step,
 )
 from .errors import DimensionMismatchError, GenerationError, InfeasibilityReport
@@ -158,14 +159,6 @@ def _affine_flow(a, d):
         return x + (a * x + d_col) * (np.expm1(a * t) / a)
 
     return flow
-
-
-def check_step(step):
-    """Raise ``ValueError`` unless ``step`` is a positive, finite grid step."""
-    if not step > 0:
-        raise ValueError("step must be positive")
-    if not np.isfinite(step):
-        raise ValueError("step must be finite")
 
 
 def _first_passage(flow, x0_rows, goal, step, t_max):

@@ -157,6 +157,23 @@ class TestFit:
         assert float(rows[0]["B00"]) == pytest.approx(2.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize(
+        "command, printed",
+        [(["solve", "--num-pieces", "4"], "total minimal time: 0.500000"),
+         (["delta"], "total time: 0.500000")],
+    )
+    def test_constant_rate_csv(self, tmp_path, capsys, command, printed):
+        # estimated derivatives leave a = 5.6e-16 on each piece, not 0
+        data = tmp_path / "const.csv"
+        lines = ["traj_id,label,t,x0,u0"]
+        for t in np.linspace(0.0, 1.0, 9).tolist():
+            lines.append(f"a,positive,{t!r},{0.8 * t!r},0.5")
+        data.write_text("\n".join(lines) + "\n")
+        code = main(command + ["--problem", str(data), "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert printed in capsys.readouterr().out
+
+
 class TestDelta:
     def test_converged_run(self, tmp_path):
         code = main(

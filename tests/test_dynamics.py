@@ -109,6 +109,15 @@ class TestIntegrate:
         assert np.any(np.isclose(traj.t, 0.33))
         assert traj.final_state[0] == pytest.approx(0.33, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "step, message", [(np.nan, "step must be positive"), (np.inf, "step must be finite")]
+    )
+    def test_non_finite_step_rejected(self, step, message):
+        # nan would read as a divergence, and inf as one RK4 step per segment
+        schedule = ControlSchedule.constant([1.0], 0.0, 0.7)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate(self.tan_rhs, [0.0], schedule, step=step)
+
 
 DOUBLE_INTEGRATOR = [[0.0, 1.0], [0.0, 0.0]]
 

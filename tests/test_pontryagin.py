@@ -9,8 +9,11 @@ from deltaproc import (
     ControlSchedule,
     InfeasibleTransferError,
     LinearPiece,
+    PiecewiseLinearModel,
+    TimePartition,
     TrivialCostateError,
     adjoint_solve,
+    brute_force_min_time,
     extremal_control,
     hamiltonian,
     integrate,
@@ -137,6 +140,15 @@ class TestScalarTransfer:
         sol = min_time_transfer(make_piece(0.5, 0.5, 0.5), [0.5], UNIT_BOUNDS)
         assert sol.transfer_time == 0.0
         assert sol.is_trivial
+
+    @pytest.mark.parametrize("a", [0.0, -5.55e-16, 1e-14, 1e-12, 1e-8])
+    def test_small_a_matches_oracle(self, a):
+        # log(sf / s0) / a loses all its digits as a -> 0; log1p(z) / z does not
+        piece = make_piece(a, 1.6, 0.2)
+        sol = min_time_transfer(piece, [0.0], UNIT_BOUNDS)
+        model = PiecewiseLinearModel((piece,), TimePartition([0.0, 1.0]))
+        oracle = brute_force_min_time(model, UNIT_BOUNDS, x_start=[0.0])
+        assert sol.transfer_time == pytest.approx(oracle, abs=1e-9)
 
     def test_infeasible_no_drive(self):
         piece = make_piece(0.0, 0.0001, 1.0)

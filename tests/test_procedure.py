@@ -95,10 +95,6 @@ class TestRefinePartition:
         out = refine_partition(TimePartition([0.0, 0.2, 1.0]), "increment")
         np.testing.assert_allclose(out.knots, [0.0, 0.2, 0.6, 1.0])
 
-    def test_refinement_index_advances(self):
-        part = TimePartition([0.0, 1.0], m=3)
-        assert refine_partition(part).m == 4
-
 
 class TestRunDelta:
     def test_converges_on_u1_data(self):
@@ -162,10 +158,29 @@ def per_piece_model(record, partition):
     for k in range(partition.num_pieces):
         t_l, t_r = partition.knots[k], partition.knots[k + 1]
         anchor = rec.interp_state(t_r)
-        A, B = _fit_subinterval(rec, t_l, t_r)
+        A, B = per_piece_fit(rec, t_l, t_r)
         pieces.append(LinearPiece(A=A, B=B, t_start=t_l, t_end=t_r, anchor=anchor))
     check_spans(pieces, partition)
     return PiecewiseLinearModel(tuple(pieces), partition)
+
+
+def per_piece_fit(rec, t_l, t_r):
+    """(A, B) of one scalar piece from its two endpoint conditions.
+
+    Coinciding endpoint states go to least squares; otherwise a non-finite
+    condition raises, then u = 0 does.
+    """
+    x_l, x_r = float(rec.interp_state(t_l)[0]), float(rec.interp_state(t_r)[0])
+    if np.isclose(x_l, x_r):
+        return _fit_subinterval(rec, t_l, t_r)
+    dx_l, dx_r = float(rec.interp_derivative(t_l)[0]), float(rec.interp_derivative(t_r)[0])
+    u = float(rec.interp_control(t_l)[0])
+    if not np.isfinite([x_l, x_r, dx_l, dx_r, u]).all():
+        raise ValueError("fit conditions must be finite")
+    if u == 0.0:
+        raise SingularFitError("u_data = 0 leaves the input coefficient unidentifiable")
+    a = (dx_r - dx_l) / (x_r - x_l)
+    return np.array([[a]]), np.array([[(dx_l - a * x_l) / u]])
 
 
 def check_spans(pieces, partition):
@@ -176,17 +191,16 @@ def check_spans(pieces, partition):
 
 
 def per_piece_time(a, x0, xf, drive):
+    """(xf - x0) / s0 * log1p(z) / z with z = a (xf - x0) / s0, or None if unreached."""
     s0 = a * x0 + drive
-    sf = a * xf + drive
-    if a == 0.0:
-        if drive == 0.0:
-            return None
-        t = (xf - x0) / drive
-        return t if t > 0.0 else None
-    if s0 == 0.0 or sf == 0.0 or np.sign(s0) != np.sign(sf):
+    if s0 == 0.0:
         return None
-    t = np.log(sf / s0) / a
-    return t if t > 0.0 else None
+    dist = xf - x0
+    z = a * dist / s0
+    if not z > -1.0:
+        return None  # the speed changes sign before xf
+    t = dist / s0 * (1.0 if z == 0.0 else np.log1p(z) / z)
+    return t if np.isfinite(t) and t > 0.0 else None
 
 
 def per_piece_transfer(piece, x_from, bounds):
