@@ -130,7 +130,8 @@ def resolve_settings(args):
 
     A benchmark case other than ``example1`` as the problem brings its own
     data control and checkpoints, so giving either as well is an error.  A
-    given step is checked here, since a CSV problem never samples with it.
+    given step is checked here, since a CSV problem never samples with it,
+    and so is the piece count, once a case has set its own.
     """
     given = read_config(args.config) if args.config else {}
     for key in SETTINGS:
@@ -151,6 +152,8 @@ def resolve_settings(args):
             )
         settings["data_control"] = case.u_data
         settings["num_pieces"] = len(case.checkpoints) - 1
+    if settings["num_pieces"] < 1:
+        raise ValueError("num_pieces must be >= 1")
     return settings
 
 
@@ -274,7 +277,7 @@ def cmd_solve(settings):
 
 
 def cmd_delta(settings):
-    record = _load_record(settings, dense=True)
+    # the settings are checked before the record is sampled
     config = DeltaConfig(
         delta=settings["delta"],
         bounds=_bounds(settings),
@@ -282,6 +285,7 @@ def cmd_delta(settings):
         max_refinements=settings["max_refinements"],
         strategy=settings["strategy"],
     )
+    record = _load_record(settings, dense=True)
     result = run_delta(record, config)
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -102,8 +102,8 @@ class DeltaConfig:
     strategy: str = REFINE_DOUBLE
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < np.inf:  # NaN fails both comparisons
+            raise ValueError("delta must be positive and finite")
         if self.initial_N < 1:
             raise ValueError("initial_N must be >= 1")
         if self.max_refinements < 1:

@@ -36,6 +36,13 @@ from deltaproc.cli import (
 from deltaproc.reference import PASSAGE_STEP
 
 
+def write_csv_problem(tmp_path):
+    """A one-record trajectory CSV of example 1 at u = 1; returns its path."""
+    path = str(tmp_path / "data.csv")
+    write_trajectories(path, [dense_reference_record(example1(), 1.0, num_samples=21, step=1e-3)])
+    return path
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -175,6 +182,13 @@ class TestFit:
 
 
 class TestDelta:
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_rejected(self, tmp_path, capsys, delta):
+        argv = ["delta", "--problem", "example1", "--delta", delta, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: delta must be positive and finite\n"
+        assert not (tmp_path / "out").exists()
+
     def test_converged_run(self, tmp_path):
         code = main(
             [
@@ -358,14 +372,29 @@ class TestUsage:
     ):
         # a CSV problem never samples with the step, so it is checked up front
         if problem == "csv":
-            problem = str(tmp_path / "data.csv")
-            write_trajectories(
-                problem, [dense_reference_record(example1(), 1.0, num_samples=21, step=1e-3)]
-            )
+            problem = write_csv_problem(tmp_path)
         out = tmp_path / "out"
         code = main([command, "--problem", problem, f"--step={step}", "--out", str(out)])
         assert code == EXIT_INVALID
         assert capsys.readouterr().err == f"error: step must be {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, problem, num_pieces",
+        [
+            ("solve", "csv", "-3"),
+            ("fit", "csv", "0"),
+            ("fit", "example1", "0"),
+            ("solve", "example1", "-1"),
+        ],
+    )
+    def test_non_positive_num_pieces(self, tmp_path, capsys, command, problem, num_pieces):
+        if problem == "csv":
+            problem = write_csv_problem(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--problem", problem, f"--num-pieces={num_pieces}", "--out", str(out)]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: num_pieces must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, step", [("fit", PASSAGE_STEP), ("delta", 1e-4)])

@@ -145,6 +145,12 @@ class TestRunDelta:
         with pytest.raises(ValueError):
             DeltaConfig(delta=0.1, bounds=UNIT_BOUNDS, strategy="nope")
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        # NaN passed a test of delta <= 0; inf made every level converge
+        with pytest.raises(ValueError, match="^delta must be positive and finite$"):
+            DeltaConfig(delta=delta, bounds=UNIT_BOUNDS)
+
 
 # ---------------------------------------------------------------------------
 # A scalar level solved with arrays against the per-piece object chain: a

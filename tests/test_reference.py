@@ -491,6 +491,26 @@ class TestDefaultPassageStep:
             brute_force_min_time(problem, step=1e-4), rel=0.0, abs=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "u, goal",
+        [pytest.param(c.u_data, c.checkpoints[-1], id=name) for name, c in BENCHMARK_CASES.items()]
+        + [pytest.param(1.0, 1.0, id="u=+1"), pytest.param(-1.0, 1.0, id="u=-1")],
+    )
+    def test_grid_error_within_budget(self, u, goal):
+        # the grid's own error, not only the bisected outcome: RK4 stays a
+        # tenth of CHECKPOINT_TOL from x = |u| tan(|u| t) on every grid state
+        # up to the step that crosses the goal, so the bisection sets the accuracy
+        flow = reference._rk4_flow(example1().rhs, np.array([u]))
+        num_steps = int(np.ceil(np.arctan(goal / abs(u)) / abs(u) / PASSAGE_STEP))
+        x, states = np.zeros(1), []
+        while len(states) < num_steps:
+            block = flow(x, PASSAGE_STEP, num_steps - len(states))[0]
+            states.extend(block)
+            x = block[-1:]
+        t = PASSAGE_STEP * np.arange(1, num_steps + 1)
+        error = np.abs(np.array(states) - abs(u) * np.tan(abs(u) * t))
+        assert error.max() <= CHECKPOINT_TOL / 10
+
 
 def rk4_array_passage(u, x0, goal, step):
     """First passage of example 1 from ``x0`` to ``goal``, on one-element arrays.
