@@ -130,8 +130,8 @@ def resolve_settings(args):
 
     A benchmark case other than ``example1`` as the problem brings its own
     data control and checkpoints, so giving either as well is an error.  A
-    given step is checked here, since a CSV problem never samples with it,
-    and so is the piece count, once a case has set its own.
+    given step and data control are checked here, since a CSV problem never
+    samples with them, and the piece count once a case has set its own.
     """
     given = read_config(args.config) if args.config else {}
     for key in SETTINGS:
@@ -142,6 +142,8 @@ def resolve_settings(args):
     settings.update(given)
     if settings["step"] is not None:
         check_step(settings["step"])
+    if not np.isfinite(settings["data_control"]):
+        raise ValueError("data_control must be finite")
     case = BENCHMARK_CASES.get(settings["problem"])
     if case is not None and case.name != "example1":
         clash = [key for key in ("data_control", "num_pieces") if key in given]
@@ -200,23 +202,20 @@ def _load_record(settings, dense):
 
 
 def write_model_csv(path, model):
-    n, r = model.n, model.pieces[0].r
+    n, r = model.n, model.r
     header = (
         ["k", "t_start", "t_end"]
         + [f"A{i}{j}" for i in range(n) for j in range(n)]
         + [f"B{i}{j}" for i in range(n) for j in range(r)]
         + [f"anchor{i}" for i in range(n)]
     )
+    knots, N = model.partition.knots[:, None], model.partition.num_pieces
+    params = np.hstack([model.A.reshape(N, -1), model.B.reshape(N, -1), model.anchors])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k, piece in enumerate(model.pieces):
-            writer.writerow(
-                [k, repr(float(piece.t_start)), repr(float(piece.t_end))]
-                + [repr(float(v)) for v in piece.A.ravel()]
-                + [repr(float(v)) for v in piece.B.ravel()]
-                + [repr(float(v)) for v in piece.anchor]
-            )
+        for k, row in enumerate(np.hstack([knots[:-1], knots[1:], params]).tolist()):
+            writer.writerow([k, *map(repr, row)])
 
 
 def write_schedule_csv(path, solution):
@@ -224,7 +223,7 @@ def write_schedule_csv(path, solution):
 
     A piece's switch times are the ends of its segments except the last.
     """
-    r = solution.model.pieces[0].r
+    r = solution.model.r
     header = ["piece", "t_start", "t_end"] + [f"u{i}" for i in range(r)] + ["switch_times"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -260,7 +259,7 @@ def cmd_fit(settings):
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_model_csv(out / "model.csv", model)
-    print(f"wrote {out / 'model.csv'} ({len(model.pieces)} pieces)")
+    print(f"wrote {out / 'model.csv'} ({model.partition.num_pieces} pieces)")
     return EXIT_OK
 
 

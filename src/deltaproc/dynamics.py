@@ -1,15 +1,16 @@
 """Core state-space types, piecewise-linear models, exact replay and RK4 integration.
 
-States and controls are plain 1-D numpy arrays.  A ``LinearPiece`` holds one
-subinterval's constant ``(A, B)`` pair together with the anchor state (the
-data state at the subinterval's right knot) that the piece is expected to
-transfer to.  Dynamics are always expressed in the original coordinate frame,
-``dx/dt = A x + B u``.
+States and controls are plain 1-D numpy arrays.  A ``PiecewiseLinearModel``
+stacks every subinterval's constant ``(A, B)`` pair and its anchor state (the
+data state at the subinterval's right knot, which the piece is expected to
+transfer to); a ``LinearPiece`` is one such piece on its own.  Dynamics are
+always expressed in the original coordinate frame, ``dx/dt = A x + B u``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,31 +143,44 @@ class LinearPiece:
 
 @dataclass(frozen=True)
 class PiecewiseLinearModel:
-    """Ordered, contiguous pieces covering one partition of the horizon."""
+    """Stacked (A, B, anchor) arrays on one partition of the horizon.
 
-    pieces: tuple
+    Piece k holds ``A[k]`` (n, n) and ``B[k]`` (n, r) on
+    ``[knots[k], knots[k+1]]`` and ends at ``anchors[k]`` (n,).
+    """
+
     partition: TimePartition
+    A: np.ndarray        # (N, n, n)
+    B: np.ndarray        # (N, n, r)
+    anchors: np.ndarray  # (N, n)
 
     def __post_init__(self):
-        pieces = tuple(self.pieces)
-        object.__setattr__(self, "pieces", pieces)
-        if len(pieces) != self.partition.num_pieces:
-            raise ValueError(
-                f"{len(pieces)} pieces for a partition with "
-                f"{self.partition.num_pieces} subintervals"
+        A, B, anchors = (np.asarray(v, dtype=float) for v in (self.A, self.B, self.anchors))
+        N = self.partition.num_pieces
+        n, r = B.shape[1:] if B.ndim == 3 else (0, 0)
+        if not n * r or (A.shape, B.shape, anchors.shape) != ((N, n, n), (N, n, r), (N, n)):
+            raise DimensionMismatchError(
+                f"a model of {N} pieces needs A (N, n, n), B (N, n, r) and anchors (N, n), "
+                f"got {A.shape}, {B.shape} and {anchors.shape}"
             )
-        knots = self.partition.knots
-        starts = np.array([piece.t_start for piece in pieces], dtype=float)
-        ends = np.array([piece.t_end for piece in pieces], dtype=float)
-        matched = np.isclose(starts, knots[:-1]) & np.isclose(ends, knots[1:])
-        if not matched.all():
-            k = int(np.argmin(matched))
-            lo, hi = knots[k], knots[k + 1]
-            raise ValueError(f"piece {k} does not match its subinterval [{lo}, {hi}]")
+        for name, values in (("A", A), ("B", B), ("anchors", anchors)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"model {name} must be finite")
+            object.__setattr__(self, name, values)
 
     @property
     def n(self):
-        return self.pieces[0].n
+        return self.A.shape[1]
+
+    @property
+    def r(self):
+        return self.B.shape[2]
+
+    @cached_property
+    def pieces(self):
+        """One :class:`LinearPiece` per piece, built when first read."""
+        knots = self.partition.knots.tolist()
+        return tuple(map(LinearPiece, self.A, self.B, knots[:-1], knots[1:], self.anchors))
 
 
 @dataclass(frozen=True)
@@ -371,27 +385,27 @@ def simulate_model(model: PiecewiseLinearModel, x0, schedule: ControlSchedule) -
     """Replay a piecewise-linear model exactly under a control schedule.
 
     Schedule segment k uses piece k (one transfer segment per piece).  The
-    state and every segment's control are checked against their pieces before
-    any segment is replayed.  Each piece is affine with its control held, so
-    one :func:`affine_transition` carries the state across its segment.  The
-    result holds the state at the schedule start and at every segment end.
-    Raises :class:`DivergenceError` when the state blows up, with the start of
-    the failing segment as its last valid time.
+    state and every segment's control are checked against the model's n and
+    r before any segment is replayed.  Each piece is affine with its control
+    held, so one :func:`affine_transition` carries the state across its
+    segment.  The result holds the state at the schedule start and at every
+    segment end.  Raises :class:`DivergenceError` when the state blows up,
+    with the start of the failing segment as its last valid time.
     """
-    if len(schedule.segments) != len(model.pieces):
+    if len(schedule.segments) != model.partition.num_pieces:
         raise ValueError("schedule must have one segment per model piece")
     x = as_vector(x0, "x0")
-    for piece, (_, _, u) in zip(model.pieces, schedule.segments):
-        if x.size != piece.n:
-            raise DimensionMismatchError(f"state dim {x.size} != piece dim {piece.n}")
-        if u.size != piece.r:
-            raise DimensionMismatchError(f"control dim {u.size} != piece input dim {piece.r}")
+    if x.size != model.n:
+        raise DimensionMismatchError(f"state dim {x.size} != model dim {model.n}")
+    for (_, _, u) in schedule.segments:
+        if u.size != model.r:
+            raise DimensionMismatchError(f"control dim {u.size} != model input dim {model.r}")
     times, states, controls = [schedule.t_start], [x], [schedule.segments[0][2]]
     # an overflow shows as a DivergenceError, not as a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        for piece, (seg_start, seg_end, u) in zip(model.pieces, schedule.segments):
-            phi, gain = affine_transition(piece.A, seg_end - seg_start)
-            x = phi @ x + gain @ (piece.B @ u)
+        for A, B, (seg_start, seg_end, u) in zip(model.A, model.B, schedule.segments):
+            phi, gain = affine_transition(A, seg_end - seg_start)
+            x = phi @ x + gain @ (B @ u)
             _check_finite(x, seg_start)
             times.append(seg_end)
             states.append(x)

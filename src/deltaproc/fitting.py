@@ -14,7 +14,7 @@ from itertools import chain, compress, count, repeat
 
 import numpy as np
 
-from .dynamics import LinearPiece, PiecewiseLinearModel, TimePartition, Trajectory
+from .dynamics import PiecewiseLinearModel, TimePartition, Trajectory
 from .errors import (
     CoverageError,
     SingularFitError,
@@ -93,12 +93,13 @@ def fit_model(
     partition: TimePartition,
     allow_negative=False,
 ) -> PiecewiseLinearModel:
-    """One LinearPiece per subinterval, anchored at the right-knot data state.
+    """The (A, B) of every subinterval, anchored at its right-knot data state.
 
     Endpoint states/derivatives/controls are linearly interpolated from the
     record at the partition knots.  Scalar problems use the exact
-    two-endpoint solve, on all subintervals at once; otherwise least squares
-    over samples in the subinterval.
+    two-endpoint solve, on all subintervals at once; the subintervals it
+    leaves, and every n >= 2 subinterval, take least squares over their
+    samples.
     """
     if record.label == NEGATIVE and not allow_negative:
         raise ValueError(
@@ -118,20 +119,19 @@ def fit_model(
         )
     rec = estimate_derivatives(record) if record.dx is None else record
     knots = partition.knots
+    # each block column-major, as fit_piece_general returns it: the rounding
+    # of the A @ x products in n >= 2 shooting depends on that layout
+    A = np.empty((partition.num_pieces, rec.n, rec.n)).transpose(0, 2, 1)
+    B = np.empty((partition.num_pieces, rec.r, rec.n)).transpose(0, 2, 1)
     if rec.n == 1 and rec.r == 1:
-        x, a, b, solved = _endpoint_solve(rec, knots)
+        x, A[:, 0, 0], B[:, 0, 0], solved = _endpoint_solve(rec, knots)
+        anchors = x[1:, None]
     else:
         solved = np.zeros(partition.num_pieces, dtype=bool)
-    pieces = []
-    for k, exact in enumerate(solved.tolist()):
-        t_l, t_r = knots[k], knots[k + 1]
-        if exact:
-            A, B, anchor = a[k : k + 1, None], b[k : k + 1, None], x[k + 1 : k + 2]
-        else:
-            A, B = _fit_subinterval(rec, t_l, t_r)
-            anchor = rec.interp_state(t_r)
-        pieces.append(LinearPiece(A=A, B=B, t_start=t_l, t_end=t_r, anchor=anchor))
-    return PiecewiseLinearModel(pieces=tuple(pieces), partition=partition)
+        anchors = rec.interp_state(knots[1:])
+    for k in np.flatnonzero(~solved):
+        A[k], B[k] = _fit_subinterval(rec, knots[k], knots[k + 1])
+    return PiecewiseLinearModel(partition, A, B, anchors)
 
 
 def _endpoint_solve(rec: TrajectoryRecord, knots):

@@ -397,6 +397,8 @@ def min_time_transfer(
     x_from = as_vector(x_from, "x_from")
     if x_from.size != piece.n:
         raise DimensionMismatchError(f"x_from dim {x_from.size} != piece dim {piece.n}")
+    if bounds.r != piece.r:
+        raise DimensionMismatchError(f"bounds dim {bounds.r} != piece input dim {piece.r}")
     if np.linalg.norm(x_from - piece.anchor) <= ZERO_STATE_TOL:
         return PieceSolution(
             u_schedule=None, transfer_time=0.0, hamiltonian=0.0, psi0=AdjointState(np.eye(piece.n)[0])
@@ -434,9 +436,10 @@ def _scalar_transfer(piece, x_from, bounds):
 def scalar_transfers(a, B, x0, xf, bounds):
     """Closed-form minimal transfers of the scalar rows dx/dt = a x + B u.
 
-    ``a``, ``x0`` and ``xf`` hold one entry per row and ``B`` one row of r
-    gains.  Each costate ray psi0 = +1, -1 drives with the vertex control
-    that maximises psi0 B u; the ray +1 wins ties.  With the start speed
+    ``a``, ``x0`` and ``xf`` are arrays of one entry per row and ``B`` one
+    row of r gains; the callers check that the box has r components.  Each
+    costate ray psi0 = +1, -1 drives with the vertex control that maximises
+    psi0 B u; the ray +1 wins ties.  With the start speed
     s0 = a x0 + drive and z = a (xf - x0) / s0, the time to xf is
     T = (xf - x0) / s0 * log1p(z) / z, the factor read as 1 at z = 0.  That
     is log(sf / s0) / a without its cancellation at small |a|, and
@@ -446,10 +449,6 @@ def scalar_transfers(a, B, x0, xf, bounds):
     |x0 - xf| <= ZERO_STATE_TOL is trivial (T = 0, psi0 = +1, H = 0); a row
     that neither ray can reach has T = nan.
     """
-    a, x0, xf = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, x0, xf))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if bounds.r != B.shape[1]:
-        raise DimensionMismatchError(f"bounds dim {bounds.r} != piece input dim {B.shape[1]}")
     dist = xf - x0
     rays = []
     with np.errstate(all="ignore"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ControlBounds, ControlSchedule, PiecewiseLinearModel, TimePartition
-from .errors import DeltaProcError
+from .errors import DeltaProcError, DimensionMismatchError
 from .fitting import TrajectoryRecord, fit_model
 from .pontryagin import AdjointState, PieceSolution, min_time_transfer, scalar_transfers
 
@@ -145,20 +145,20 @@ def solve_partition(
 
     Piece k transfers from the data anchor at knot k-1 to the anchor at knot
     k; totals are the sum of per-piece times.  Errors from fitting or the
-    transfer solver are annotated with the piece index.  A scalar model is
-    solved in one closed-form pass over all its pieces.
+    transfer solver are annotated with the piece index.  A control box whose
+    width is not the model's input width raises
+    :class:`DimensionMismatchError` before any piece is solved.  A scalar
+    model is solved in one closed-form pass over all its pieces.
     """
     model = fit_model(record, partition)
-    x_start = record.interp_state(partition.t0)
-    if model.n == 1 and model.pieces[0].r == bounds.r:
-        return _scalar_level(model, x_start, bounds)
-    # n >= 2, or a control box that does not fit the pieces, which the first
-    # non-trivial transfer reports
-    solutions = []
-    x_from = x_start
-    for k, piece in enumerate(model.pieces):
-        solutions.append(_transfer(k, piece, x_from, bounds))
-        x_from = piece.anchor
+    if bounds.r != model.r:
+        raise DimensionMismatchError(f"bounds dim {bounds.r} != model input dim {model.r}")
+    # piece k starts at the record's first state (k = 0) or at anchor k - 1
+    x0 = np.vstack([record.interp_state(partition.t0), model.anchors[:-1]])
+    if model.n == 1:
+        return _scalar_level(model, x0, bounds)
+    pieces = zip(model.pieces, x0)
+    solutions = [_transfer(k, piece, x_from, bounds) for k, (piece, x_from) in enumerate(pieces)]
     segments = [
         (k, a, b, *u)
         for k, sol in enumerate(solutions)
@@ -167,7 +167,7 @@ def solve_partition(
     ]
     return PartitionSolution(
         model=model,
-        x_start=x_start,
+        x_start=x0[0],
         transfer_times=np.array([sol.transfer_time for sol in solutions]),
         hamiltonians=np.array([sol.hamiltonian for sol in solutions]),
         psi0=np.array([sol.psi0.psi for sol in solutions]),
@@ -175,27 +175,20 @@ def solve_partition(
     )
 
 
-def _scalar_level(model, x_start, bounds):
-    """All transfers of a scalar model, chained through the anchors, in one pass."""
-    pieces = model.pieces
-    xf = np.array([piece.anchor[0] for piece in pieces])
-    x0 = np.concatenate([x_start, xf[:-1]])
+def _scalar_level(model, x0, bounds):
+    """All transfers of a scalar model from the states ``x0`` (N, 1), in one pass."""
     T, u, psi, H = scalar_transfers(
-        [piece.A[0, 0] for piece in pieces],
-        np.concatenate([piece.B for piece in pieces]),
-        x0,
-        xf,
-        bounds,
+        model.A[:, 0, 0], model.B[:, 0], x0[:, 0], model.anchors[:, 0], bounds
     )
     unreachable = np.flatnonzero(np.isnan(T))
     if unreachable.size:
         k = int(unreachable[0])
         # raises the piece's own InfeasibleTransferError
-        _transfer(k, pieces[k], x0[k], bounds)
+        _transfer(k, model.pieces[k], x0[k], bounds)
     moves = np.flatnonzero(T > 0.0)
     segments = np.column_stack([moves, np.zeros(moves.size), T[moves], u[moves]])
     return PartitionSolution(
-        model=model, x_start=x_start, transfer_times=T, hamiltonians=H, psi0=psi[:, None],
+        model=model, x_start=x0[0], transfer_times=T, hamiltonians=H, psi0=psi[:, None],
         segments=segments,
     )
 

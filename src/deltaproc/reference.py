@@ -344,22 +344,19 @@ def brute_force_min_time(
             raise ValueError("bounds are required for a model search")
         if x_start is None:
             raise ValueError("x_start is required for a model search")
-        for piece in target.pieces:
-            if piece.n != 1:
-                raise NotImplementedError("the vertex search is defined for scalar models")
-            if piece.r != bounds.r:
-                raise DimensionMismatchError(
-                    f"control dim {bounds.r} != piece input dim {piece.r}"
-                )
+        if target.n != 1:
+            raise NotImplementedError("the vertex search is defined for scalar models")
+        if target.r != bounds.r:
+            raise DimensionMismatchError(f"control dim {bounds.r} != model input dim {target.r}")
         x_start = as_vector(x_start, "x_start")
         if x_start.size != 1:
             raise DimensionMismatchError(f"x_start dim {x_start.size} != model dim 1")
         vertices = np.array(bounds.vertices())
         x_from = float(x_start[0])
         total = 0.0
-        for k, piece in enumerate(target.pieces):
-            goal = float(piece.anchor[0])
-            flow = _affine_flow(float(piece.A[0, 0]), vertices @ piece.B[0])
+        pieces = zip(target.A[:, 0, 0].tolist(), target.B[:, 0], target.anchors[:, 0].tolist())
+        for k, (a, b, goal) in enumerate(pieces):
+            flow = _affine_flow(a, vertices @ b)
             hit = _first_passage(flow, np.full(len(vertices), x_from), goal, step, t_max)
             if hit is None:
                 raise InfeasibilityReport(

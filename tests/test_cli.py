@@ -397,6 +397,27 @@ class TestUsage:
         assert capsys.readouterr().err == "error: num_pieces must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, problem, data_control",
+        [
+            ("fit", "example1", "nan"),
+            ("solve", "example1", "inf"),
+            ("delta", "csv", "-inf"),
+            ("solve", "csv", "nan"),
+        ],
+    )
+    def test_non_finite_data_control_rejected_for_any_problem(
+        self, tmp_path, capsys, command, problem, data_control
+    ):
+        # a CSV problem never samples with the data control, so it is checked up front
+        if problem == "csv":
+            problem = write_csv_problem(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--problem", problem, f"--data-control={data_control}", "--out", str(out)]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: data_control must be finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, step", [("fit", PASSAGE_STEP), ("delta", 1e-4)])
     def test_default_step_is_the_samplers(self, tmp_path, command, step):
         # fit and solve sample checkpoints at PASSAGE_STEP; delta's dense record keeps 1e-4
@@ -522,6 +543,22 @@ class TestTwoStateSolve:
                 (a, b, u.tolist()) for a, b, u in single.u_schedule.segments
             ]
             x_from = piece.anchor
+
+    def test_two_control_columns_for_a_one_wide_box(self, tmp_path, capsys):
+        # the CLI's box has one component; the data have two
+        t = np.linspace(0.0, 1.0, 41)
+        record = TrajectoryRecord(
+            id="w", label="positive", t=t, x=np.column_stack([t, t**2]),
+            u=np.column_stack([np.cos(3.0 * t), np.sin(5.0 * t)]),
+        )
+        data = tmp_path / "wide.csv"
+        write_trajectories(data, [record])
+        out = tmp_path / "out"
+        assert main(["solve", "--problem", str(data), "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: bounds dim 1 != model input dim 2\n"
+        assert "matmul" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("num_pieces", [2, 4, 8, 16])
     def test_transfers_no_longer_than_the_data(self, num_pieces):

@@ -158,16 +158,70 @@ class TestAffineTransition:
         np.testing.assert_allclose(gain[0, 0], expected[0, 1], rtol=1e-13)
 
 
+class TestPiecewiseLinearModel:
+    PARTITION = TimePartition([0.0, 0.5, 2.0])
+
+    @staticmethod
+    def arrays():
+        """(A, B, anchors) of two n = 2, r = 1 pieces."""
+        return (
+            np.array([[[0.5, -0.2], [0.1, -1.0]], [[-1.3, 0.4], [0.0, 0.7]]]),
+            np.array([[[1.0], [0.3]], [[0.0], [1.0]]]),
+            np.array([[0.2, -0.1], [0.4, 0.3]]),
+        )
+
+    @pytest.mark.parametrize("index, name", [(0, "A"), (1, "B"), (2, "anchors")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, index, name, value):
+        arrays = self.arrays()
+        arrays[index][1, 0] = value
+        with pytest.raises(ValueError, match=f"^model {name} must be finite$"):
+            PiecewiseLinearModel(self.PARTITION, *arrays)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_piece_count_other_than_the_partitions_rejected(self, count):
+        arrays = [np.resize(values, (count,) + values.shape[1:]) for values in self.arrays()]
+        with pytest.raises(DimensionMismatchError, match="^a model of 2 pieces needs"):
+            PiecewiseLinearModel(self.PARTITION, *arrays)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda A, B, anchors: (A[:, :1, :1], B, anchors),  # n = 1 in A, 2 in B
+            lambda A, B, anchors: (A, B[:, :1], anchors),  # n = 1 in B
+            lambda A, B, anchors: (A, B, anchors[:, :1]),  # n = 1 in the anchors
+            lambda A, B, anchors: (A, B[:1], anchors),  # one piece in B, two in A
+            lambda A, B, anchors: (A, B[:, :, 0], anchors),  # B without its r axis
+            lambda A, B, anchors: (A, B[:, :, :0], anchors),  # r = 0
+        ],
+        ids=["A-n", "B-n", "anchors-n", "B-pieces", "B-2d", "r-0"],
+    )
+    def test_mismatched_n_or_r_rejected(self, cut):
+        with pytest.raises(DimensionMismatchError, match="^a model of 2 pieces needs"):
+            PiecewiseLinearModel(self.PARTITION, *cut(*self.arrays()))
+
+    def test_pieces_view(self):
+        A, B, anchors = self.arrays()
+        model = PiecewiseLinearModel(self.PARTITION, A, B, anchors)
+        assert (model.n, model.r) == (2, 1)
+        knots = self.PARTITION.knots
+        assert len(model.pieces) == 2
+        for k, piece in enumerate(model.pieces):
+            assert isinstance(piece, LinearPiece)
+            assert (
+                piece.A.tolist(), piece.B.tolist(), piece.t_start, piece.t_end, piece.anchor.tolist()
+            ) == (A[k].tolist(), B[k].tolist(), knots[k], knots[k + 1], anchors[k].tolist())
+
+
 class TestSimulateModel:
     @staticmethod
     def model_and_schedule():
-        pieces = (
-            LinearPiece(A=[[0.5, -0.2], [0.1, -1.0]], B=[[1.0, 0.0], [0.3, 2.0]],
-                        t_start=0.0, t_end=1.0, anchor=[0.0, 0.0]),
-            LinearPiece(A=[[-1.3, 0.4], [0.0, 0.7]], B=[[0.0, -0.5], [1.0, 1.0]],
-                        t_start=1.0, t_end=2.0, anchor=[0.0, 0.0]),
+        model = PiecewiseLinearModel(
+            TimePartition([0.0, 1.0, 2.0]),
+            A=[[[0.5, -0.2], [0.1, -1.0]], [[-1.3, 0.4], [0.0, 0.7]]],
+            B=[[[1.0, 0.0], [0.3, 2.0]], [[0.0, -0.5], [1.0, 1.0]]],
+            anchors=np.zeros((2, 2)),
         )
-        model = PiecewiseLinearModel(pieces, TimePartition([0.0, 1.0, 2.0]))
         schedule = ControlSchedule(((0.0, 0.37, [1.0, -1.0]), (0.37, 1.2, [-1.0, 1.0])))
         return model, schedule
 
@@ -206,8 +260,7 @@ class TestSimulateModel:
         assert steps == []
 
     def test_scalar_piece_matches_augmented_exponential(self):
-        piece = make_piece(-0.7, 1.3, 0.0, t_end=2.0)
-        model = PiecewiseLinearModel((piece,), TimePartition([0.0, 2.0]))
+        model = PiecewiseLinearModel(TimePartition([0.0, 2.0]), [[[-0.7]]], [[[1.3]]], [[0.0]])
         schedule = ControlSchedule.constant([0.6], 0.0, 1.5)
         traj = simulate_model(model, [0.4], schedule)
         expected = self.augmented_chain(model, [0.4], schedule)
@@ -227,7 +280,12 @@ class TestSimulateModel:
     def test_overflow_raises_divergence_at_segment_start(self, pieces, segments, last_valid_time):
         # a = 800 over 1 s: exp(800) overflows a float
         knots = [piece.t_start for piece in pieces] + [pieces[-1].t_end]
-        model = PiecewiseLinearModel(pieces, TimePartition(knots))
+        model = PiecewiseLinearModel(
+            TimePartition(knots),
+            [piece.A for piece in pieces],
+            [piece.B for piece in pieces],
+            [piece.anchor for piece in pieces],
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:

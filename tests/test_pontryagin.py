@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from deltaproc import (
     ControlBounds,
     ControlSchedule,
+    DimensionMismatchError,
     InfeasibleTransferError,
     LinearPiece,
     PiecewiseLinearModel,
@@ -146,7 +147,7 @@ class TestScalarTransfer:
         # log(sf / s0) / a loses all its digits as a -> 0; log1p(z) / z does not
         piece = make_piece(a, 1.6, 0.2)
         sol = min_time_transfer(piece, [0.0], UNIT_BOUNDS)
-        model = PiecewiseLinearModel((piece,), TimePartition([0.0, 1.0]))
+        model = PiecewiseLinearModel(TimePartition([0.0, 1.0]), [piece.A], [piece.B], [piece.anchor])
         oracle = brute_force_min_time(model, UNIT_BOUNDS, x_start=[0.0])
         assert sol.transfer_time == pytest.approx(oracle, abs=1e-9)
 
@@ -222,6 +223,13 @@ class TestShootingTransfer:
         np.testing.assert_allclose(traj.final_state, [0.0, 0.0], atol=1e-5)
         for seg in sol.u_schedule.segments:
             assert abs(seg[2][0]) == 1.0  # vertex controls only
+
+    @pytest.mark.parametrize("x_from", [[1.0, 0.0], [0.0, 0.0]])
+    def test_control_box_of_another_width_rejected(self, x_from):
+        # checked before the trivial transfer too, not left to a matmul inside the shooting
+        box = ControlBounds(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        with pytest.raises(DimensionMismatchError, match=r"^bounds dim 2 != piece input dim 1$"):
+            min_time_transfer(plant_piece(DOUBLE_INTEGRATOR), x_from, box)
 
     def test_scipy_called_through_module_names(self, monkeypatch):
         # a tracer counts these calls by replacing the module attributes

@@ -7,6 +7,7 @@ from deltaproc import (
     ControlBounds,
     DeltaConfig,
     DeltaProcError,
+    DimensionMismatchError,
     InfeasibleTransferError,
     LinearPiece,
     PiecewiseLinearModel,
@@ -26,6 +27,7 @@ from deltaproc import (
     simulate_model,
     solve_partition,
 )
+from deltaproc import procedure
 from deltaproc.fitting import _fit_subinterval
 from deltaproc.pontryagin import ZERO_STATE_TOL
 
@@ -62,6 +64,34 @@ class TestSolvePartition:
         traj = simulate_model(sol.model, sol.x_start, sol.schedule)
         assert traj.final_state[0] == pytest.approx(1.0, abs=1e-3)
         assert sol.schedule.duration == pytest.approx(sol.total_time, abs=1e-12)
+
+    def test_scalar_level_builds_no_piece_objects(self, monkeypatch):
+        problem = example1()
+        record = sample_reference(problem, 0.5, np.linspace(0.0, 1.0, 8))
+        dense = dense_reference_record(problem, 0.5)
+        built = []
+        post_init = LinearPiece.__post_init__
+        monkeypatch.setattr(
+            LinearPiece, "__post_init__", lambda piece: built.append(piece) or post_init(piece)
+        )
+        sol = solve_partition(record, TimePartition(record.t), problem.bounds)
+        result = run_delta(dense, DeltaConfig(delta=0.05, bounds=problem.bounds))
+        assert (sol.transfer_times.size, len(result.trace), built) == (7, 2, [])
+        # the model's piece view is where they are built, when read
+        assert len(sol.model.pieces) == len(built) == 7
+
+    @pytest.mark.parametrize("box_width, data_width", [(2, 1), (1, 2)])
+    def test_control_box_of_another_width_rejected(self, monkeypatch, box_width, data_width):
+        t = np.linspace(0.0, 1.0, 41)
+        x = np.column_stack([t, t**2])[:, :data_width]
+        u = np.column_stack([np.cos(3.0 * t), np.sin(5.0 * t)])[:, :data_width]
+        record = TrajectoryRecord(id="w", label="positive", t=t, x=x, u=u)
+        box = ControlBounds(lower=[-1.0] * box_width, upper=[1.0] * box_width)
+        for name in ("min_time_transfer", "scalar_transfers"):
+            monkeypatch.setattr(procedure, name, lambda *args: pytest.fail("a piece was solved"))
+        message = f"^bounds dim {box_width} != model input dim {data_width}$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            solve_partition(record, TimePartition.uniform(0.0, 1.0, 4), box)
 
 
 class TestScores:
@@ -158,16 +188,12 @@ class TestRunDelta:
 
 
 def per_piece_model(record, partition):
-    """fit_model one subinterval at a time, with the per-piece span check."""
+    """fit_model one subinterval at a time, stacked into the model's arrays."""
     rec = estimate_derivatives(record)
-    pieces = []
-    for k in range(partition.num_pieces):
-        t_l, t_r = partition.knots[k], partition.knots[k + 1]
-        anchor = rec.interp_state(t_r)
-        A, B = per_piece_fit(rec, t_l, t_r)
-        pieces.append(LinearPiece(A=A, B=B, t_start=t_l, t_end=t_r, anchor=anchor))
-    check_spans(pieces, partition)
-    return PiecewiseLinearModel(tuple(pieces), partition)
+    knots = partition.knots
+    A, B = zip(*(per_piece_fit(rec, knots[k], knots[k + 1]) for k in range(partition.num_pieces)))
+    anchors = [rec.interp_state(t_r) for t_r in knots[1:]]
+    return PiecewiseLinearModel(partition, A, B, anchors)
 
 
 def per_piece_fit(rec, t_l, t_r):
@@ -187,13 +213,6 @@ def per_piece_fit(rec, t_l, t_r):
         raise SingularFitError("u_data = 0 leaves the input coefficient unidentifiable")
     a = (dx_r - dx_l) / (x_r - x_l)
     return np.array([[a]]), np.array([[(dx_l - a * x_l) / u]])
-
-
-def check_spans(pieces, partition):
-    for k, piece in enumerate(pieces):
-        lo, hi = partition.knots[k], partition.knots[k + 1]
-        if not (np.isclose(piece.t_start, lo) and np.isclose(piece.t_end, hi)):
-            raise ValueError(f"piece {k} does not match its subinterval [{lo}, {hi}]")
 
 
 def per_piece_time(a, x0, xf, drive):
@@ -315,8 +334,8 @@ class TestScalarLevel:
             assert got == expected
             return
         model, rows, total, mean, deviation = expected
-        for p, q in zip(got.model.pieces, model.pieces):
-            assert (p.A, p.B, p.anchor, p.t_start, p.t_end) == (q.A, q.B, q.anchor, q.t_start, q.t_end)
+        for name in ("A", "B", "anchors"):
+            assert getattr(got.model, name).tolist() == getattr(model, name).tolist()
         x_from = got.x_start
         # trivial pieces included: zip below would hide a short list
         assert len(got.piece_solutions) == partition.num_pieces == len(rows)
@@ -414,14 +433,3 @@ class TestScalarLevel:
         assert expected[0] is InfeasibleTransferError
         assert "piece 1: no vertex control transfers x=0.3 to 0.6 (a=0, B=[0.])" in expected[1]
         assert outcome(solve_partition, record, partition, UNIT_BOUNDS) == expected
-
-    def test_piece_off_its_span_error(self):
-        partition = TimePartition([0.0, 1.0, 2.0, 3.0])
-        spans = [(0.0, 1.0), (1.0, 2.0 + 1e-3), (2.0 + 1e-3, 3.0)]
-        pieces = [
-            LinearPiece(A=[[1.0]], B=[[1.0]], t_start=lo, t_end=hi, anchor=[0.0])
-            for lo, hi in spans
-        ]
-        expected = outcome(check_spans, pieces, partition)
-        assert expected == (ValueError, "piece 1 does not match its subinterval [1.0, 2.0]")
-        assert outcome(PiecewiseLinearModel, tuple(pieces), partition) == expected

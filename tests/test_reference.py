@@ -8,7 +8,6 @@ from deltaproc import (
     DivergenceError,
     GenerationError,
     InfeasibilityReport,
-    LinearPiece,
     PiecewiseLinearModel,
     TimePartition,
     brute_force_min_time,
@@ -30,12 +29,12 @@ UNIT_BOUNDS = ControlBounds(lower=[-1.0], upper=[1.0])
 
 def scalar_model(*pieces):
     """Model of scalar pieces (a, b, anchor) on unit subintervals."""
+    a, b, anchor = np.array(pieces, dtype=float).T
     return PiecewiseLinearModel(
-        tuple(
-            LinearPiece(A=[[a]], B=[[b]], t_start=k, t_end=k + 1.0, anchor=[anchor])
-            for k, (a, b, anchor) in enumerate(pieces)
-        ),
         TimePartition(np.arange(len(pieces) + 1.0)),
+        a[:, None, None],
+        b[:, None, None],
+        anchor[:, None],
     )
 
 
@@ -235,11 +234,9 @@ class TestAffineFirstPassage:
         assert oracle == pytest.approx(goal, rel=0.0, abs=1e-9)
 
     def test_vector_model_rejected(self):
-        piece = LinearPiece(
-            A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], t_start=0.0, t_end=1.0,
-            anchor=[0.0, 0.0],
+        model = PiecewiseLinearModel(
+            TimePartition([0.0, 1.0]), [[[0.0, 1.0], [0.0, 0.0]]], [[[0.0], [1.0]]], [[0.0, 0.0]]
         )
-        model = PiecewiseLinearModel((piece,), TimePartition([0.0, 1.0]))
         with pytest.raises(NotImplementedError):
             brute_force_min_time(model, UNIT_BOUNDS, x_start=[1.0, 0.0])
 
