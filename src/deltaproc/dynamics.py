@@ -112,8 +112,8 @@ class LinearPiece:
     anchor: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
+        A = np.atleast_2d(np.ascontiguousarray(self.A, dtype=float))
+        B = np.atleast_2d(np.ascontiguousarray(self.B, dtype=float))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "anchor", as_vector(self.anchor, "anchor"))
@@ -155,7 +155,9 @@ class PiecewiseLinearModel:
     anchors: np.ndarray  # (N, n)
 
     def __post_init__(self):
-        A, B, anchors = (np.asarray(v, dtype=float) for v in (self.A, self.B, self.anchors))
+        A, B, anchors = (
+            np.ascontiguousarray(v, dtype=float) for v in (self.A, self.B, self.anchors)
+        )
         N = self.partition.num_pieces
         n, r = B.shape[1:] if B.ndim == 3 else (0, 0)
         if not n * r or (A.shape, B.shape, anchors.shape) != ((N, n, n), (N, n, r), (N, n)):

@@ -119,10 +119,8 @@ def fit_model(
         )
     rec = estimate_derivatives(record) if record.dx is None else record
     knots = partition.knots
-    # each block column-major, as fit_piece_general returns it: the rounding
-    # of the A @ x products in n >= 2 shooting depends on that layout
-    A = np.empty((partition.num_pieces, rec.n, rec.n)).transpose(0, 2, 1)
-    B = np.empty((partition.num_pieces, rec.r, rec.n)).transpose(0, 2, 1)
+    A = np.empty((partition.num_pieces, rec.n, rec.n))
+    B = np.empty((partition.num_pieces, rec.n, rec.r))
     if rec.n == 1 and rec.r == 1:
         x, A[:, 0, 0], B[:, 0, 0], solved = _endpoint_solve(rec, knots)
         anchors = x[1:, None]

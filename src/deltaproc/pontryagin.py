@@ -471,13 +471,11 @@ def scalar_transfers(a, B, x0, xf, bounds):
 
 
 def _sphere_directions(n, count, seed=0):
-    """Quasi-uniform unit directions: axes plus seeded random samples."""
+    """Quasi-uniform unit directions (2n + count, n): axes plus seeded random samples."""
     rng = np.random.default_rng(seed)
-    dirs = list(np.eye(n)) + list(-np.eye(n))
     raw = rng.normal(size=(count, n))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    dirs.extend(raw)
-    return dirs
+    return np.vstack([np.eye(n), -np.eye(n), raw])
 
 
 def _costate_grid(piece, psi0, horizon, samples):
@@ -503,52 +501,40 @@ def _costate_grid(piece, psi0, horizon, samples):
 
 
 def _scan_directions(piece, x_from, bounds, directions, h, prefixes):
-    """Best miss distance and its time for every costate ray, after each prefix.
+    """Best miss, its time and the controls held, for every costate ray, after each prefix.
 
-    Yields (best_miss, best_t) over the first ``prefixes[j]`` steps of size h,
-    for increasing prefixes of one sweep; a caller that stops early saves the
-    rest.  All rays advance together as rows of (D, n) state and costate
-    arrays.  The control is re-evaluated once per step, so a switch inside a
-    step is only located to step resolution; the arc-duration solve fixes
-    that.  A row that leaves the finite, <= BLOWUP_LIMIT region stops
-    updating from that step on.  Rows that never take a finite step keep miss
-    inf and time nan.
+    Yields (best_miss, best_t, controls) over the first ``prefixes[j]`` steps
+    of size h, for increasing prefixes of one sweep; a caller that stops
+    early saves the rest.  ``controls`` (steps, rays, r) holds the extremal
+    control that each ray held on each step.  All rays advance together as
+    rows of (D, n) state and costate arrays.  The control is re-evaluated
+    once per step, so a switch inside a step is only located to step
+    resolution; the arc-duration solve fixes that.  A row that leaves the
+    finite, <= BLOWUP_LIMIT region stops updating from that step on.  Rows
+    that never take a finite step keep miss inf and time nan.
     """
     phi, gain = affine_transition(piece.A, h)
     psi_step = expm(-piece.A.T * h)
     drive = gain @ piece.B  # (n, r)
     psis = np.array(directions, dtype=float)
     xs = np.tile(x_from, (psis.shape[0], 1))
-    best_miss = np.full(psis.shape[0], np.inf)
+    controls = np.empty((prefixes[-1], psis.shape[0], piece.r))
+    best_sq = np.full(psis.shape[0], np.inf)  # squared misses: one sqrt per yield
     best_t = np.full(psis.shape[0], np.nan)
     alive = np.ones(psis.shape[0], dtype=bool)
     for i in range(prefixes[-1]):
-        us = np.where(psis @ piece.B < 0.0, bounds.lower, bounds.upper)
-        xs = xs @ phi.T + us @ drive.T
+        controls[i] = np.where(psis @ piece.B < 0.0, bounds.lower, bounds.upper)
+        xs = xs @ phi.T + controls[i] @ drive.T
         psis = psis @ psi_step.T
         alive &= np.all(np.abs(xs) <= BLOWUP_LIMIT, axis=1)  # False for inf and nan
         xs[~alive] = 0.0
-        miss = np.linalg.norm(xs - piece.anchor, axis=1)
-        better = alive & (miss < best_miss)
-        best_miss[better] = miss[better]
+        offset = xs - piece.anchor
+        sq = (offset * offset).sum(axis=1)
+        better = alive & (sq < best_sq)
+        best_sq[better] = sq[better]
         best_t[better] = (i + 1) * h
         if i + 1 in prefixes:
-            yield best_miss.copy(), best_t.copy()
-
-
-def _ray_arcs(piece, bounds, rays, times, h):
-    """The bang arcs (vertices, durations) that each scanned ray follows up to its best time.
-
-    Step i holds the extremal control at the step's start, as in
-    :func:`_scan_directions`, so every duration is a whole number of steps h.
-    """
-    counts = np.rint(np.asarray(times) / h).astype(int)
-    _, psis = _costate_grid(piece, rays, counts.max() * h, counts.max() + 1)
-    controls = np.where(psis @ piece.B < 0.0, bounds.lower, bounds.upper)  # (steps, rays, r)
-    for j, count in enumerate(counts):
-        u = controls[:count, j]
-        starts = np.flatnonzero(np.r_[True, (u[1:] != u[:-1]).any(axis=1)])
-        yield u[starts], np.diff(np.r_[starts, count]) * h
+            yield np.sqrt(best_sq), best_t.copy(), controls[: i + 1]
 
 
 def _arc_flow(piece, x_from, vertices, durations):
@@ -574,7 +560,10 @@ def _arc_flow(piece, x_from, vertices, durations):
         velocities.append(A @ x + drive)
         carry = phi @ carry
         if A.shape[0] == 2 and i + 1 < len(vertices):
-            rows = np.linalg.solve(carry, piece.B)  # expm(-A t_i) B
+            try:
+                rows = np.linalg.solve(carry, piece.B)  # expm(-A t_i) B
+            except np.linalg.LinAlgError:  # expm(A t_i) underflowed: reject the trial
+                return np.full(x.size, np.nan), np.full((x.size, len(vertices)), np.nan)
             switches += [(i, rows[:, k]) for k in np.flatnonzero(v != vertices[i + 1])]
     jac = np.zeros((x.size + max(len(switches) - 1, 0), len(vertices)))
     carry = np.eye(x.size)
@@ -627,11 +616,9 @@ def _certificate(piece, bounds, x_from, vertices, durations):
     """
     n = piece.n
     ends = np.cumsum(durations)
-    # sigma_k(t) = (expm(-A t) B_k)^T psi0
-    switch_rows = [np.zeros((0, n))]
-    for t, v, w in zip(ends[:-1], vertices, vertices[1:]):
-        switch_rows.append((expm(-piece.A * t) @ piece.B)[:, v != w].T)
-    _, s, vt = np.linalg.svd(_unit_rows(np.concatenate(switch_rows)))
+    # sigma_k(t) = (expm(-A t) B_k)^T psi0: one row per component k that switches at t
+    switch_rows = np.swapaxes(expm(-piece.A * ends[:-1, None, None]) @ piece.B, 1, 2)
+    _, s, vt = np.linalg.svd(_unit_rows(switch_rows[vertices[1:] != vertices[:-1]]))
     free = vt[int((s > CERT_TOL).sum()) :]
     if not free.size:
         return None
@@ -674,20 +661,24 @@ def _unit_rows(rows):
     return rows[norms > 0.0] / norms[norms > 0.0, None]
 
 
-def _seeds(piece, bounds, directions, misses, times, h, max_switches):
+def _seeds(bounds, misses, times, controls, h, max_switches):
     """Arc sequences (vertices, durations) to solve, one per vertex sequence.
 
-    Each of the SEED_RAYS closest rays gives its arcs, and the same with a
-    short arc on the opposite vertex in front or behind, for a first or last
-    arc shorter than a scan step h.  A sequence in which some control
-    component switches more than ``max_switches`` times (None: no bound) is
-    left out; the first ray to give a vertex sequence sets its durations.
+    Each of the SEED_RAYS closest rays gives the arcs that it held in the
+    scan's ``controls`` up to its best time, and the same with a short arc on
+    the opposite vertex in front or behind, for a first or last arc shorter
+    than a scan step h.  Every scanned duration is a whole number of steps.
+    A sequence in which some control component switches more than
+    ``max_switches`` times (None: no bound) is left out; the first ray to
+    give a vertex sequence sets its durations.
     """
     rays = [i for i in np.argsort(misses, kind="stable") if not np.isnan(times[i])][:SEED_RAYS]
-    if not rays:
-        return []
     seeds = {}
-    for vertices, durations in _ray_arcs(piece, bounds, directions[rays], times[rays], h):
+    for j in rays:
+        count = int(np.rint(times[j] / h))
+        u = controls[:count, j]
+        starts = np.flatnonzero(np.r_[True, (u[1:] != u[:-1]).any(axis=1)])
+        vertices, durations = u[starts], np.diff(np.r_[starts, count]) * h
         first = np.where(vertices[:1] == bounds.upper, bounds.lower, bounds.upper)
         last = np.where(vertices[-1:] == bounds.upper, bounds.lower, bounds.upper)
         for seed in (
@@ -708,7 +699,7 @@ def _shooting_transfer(piece, x_from, bounds):
     speed = max(min(np.linalg.norm(piece.B @ v) for v in bounds.vertices()), 1e-6)
     t_max = max(10.0 * dist / speed, 10.0 / scale, 10.0 * piece.span)
 
-    directions = np.array(_sphere_directions(n, 64 * n))
+    directions = _sphere_directions(n, 64 * n)
     h = t_max / SCAN_STEPS
     # Feldbaum: with real eigenvalues each control component switches at most n - 1 times
     real = not np.iscomplex(np.linalg.eigvals(piece.A)).any()
@@ -716,11 +707,11 @@ def _shooting_transfer(piece, x_from, bounds):
     closest = (np.inf, np.nan)  # (miss, T) of the best uncertified candidate
     tried, seen = set(), 0.0  # vertex sequences solved so far, and the horizon they saw
     prefixes = _scan_directions(piece, x_from, bounds, directions, h, SCAN_PREFIXES)
-    for steps, (misses, times) in zip(SCAN_PREFIXES, prefixes):
+    for steps, (misses, times, controls) in zip(SCAN_PREFIXES, prefixes):
         if steps < SCAN_STEPS:
             # a ray still closing in at the prefix's end has not made its approach yet
             times = np.where(times < steps * h, times, np.nan)
-        seeds = _seeds(piece, bounds, directions, misses, times, h, n - 1 if real else None)
+        seeds = _seeds(bounds, misses, times, controls, h, n - 1 if real else None)
         for vertices, durations in seeds:
             if vertices.tobytes() in tried and durations.sum() <= seen:
                 continue  # a shorter prefix seeded this sequence already

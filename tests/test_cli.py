@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,11 +14,13 @@ import deltaproc
 from deltaproc import (
     ControlBounds,
     ControlSchedule,
+    PiecewiseLinearModel,
     ShootingError,
     TimePartition,
     TrajectoryRecord,
     dense_reference_record,
     example1,
+    fit_model,
     min_time_transfer,
     simulate_model,
     solve_partition,
@@ -543,6 +546,26 @@ class TestTwoStateSolve:
                 (a, b, u.tolist()) for a, b, u in single.u_schedule.segments
             ]
             x_from = piece.anchor
+
+    def test_results_do_not_depend_on_the_layout_of_A(self):
+        # a column-major A used to round the A @ x products differently:
+        # piece 1 at N = 2 switched at ...7386 instead of ...7917
+        record = damped_oscillator_record()
+        bounds = ControlBounds(lower=[-1.0], upper=[1.0])
+        model = fit_model(record, TimePartition.uniform(record.t_start, record.t_end, 2))
+        piece = model.pieces[1]
+        solutions = []
+        for A in (np.ascontiguousarray(piece.A), np.asfortranarray(piece.A)):
+            layout = dataclasses.replace(piece, A=A)
+            solutions.append(min_time_transfer(layout, model.anchors[0], bounds))
+        fortran = PiecewiseLinearModel(
+            model.partition, np.asfortranarray(model.A), np.asfortranarray(model.B), model.anchors
+        )
+        solutions.append(min_time_transfer(fortran.pieces[1], model.anchors[0], bounds))
+        assert solutions[0].switch_times == pytest.approx((0.7308588493917387,), abs=1e-12)
+        for sol in solutions[1:]:
+            assert sol.transfer_time == solutions[0].transfer_time
+            assert sol.switch_times == solutions[0].switch_times
 
     def test_two_control_columns_for_a_one_wide_box(self, tmp_path, capsys):
         # the CLI's box has one component; the data have two

@@ -288,8 +288,10 @@ class TestBatchedScan:
         best = (np.inf, np.nan)
         x = np.array(x_from, dtype=float)
         psi = np.array(psi0, dtype=float)
+        controls = []
         for i in range(steps):
             u = extremal_control(piece, psi, UNIT_BOUNDS)
+            controls.append(u)
             M = np.zeros((3, 3))
             M[:2, :2] = piece.A * h
             M[:2, 2] = piece.B @ u * h
@@ -300,7 +302,7 @@ class TestBatchedScan:
             miss = np.linalg.norm(x - piece.anchor)
             if miss < best[0]:
                 best = (miss, (i + 1) * h)
-        return best
+        return best, np.array(controls)
 
     @pytest.mark.parametrize(
         "A, x_from, t_max",
@@ -314,18 +316,21 @@ class TestBatchedScan:
     def test_matches_per_direction_loop(self, A, x_from, t_max):
         piece = plant_piece(A)
         directions = pontryagin._sphere_directions(2, 24)
-        ((misses, times),) = pontryagin._scan_directions(
+        ((misses, times, controls),) = pontryagin._scan_directions(
             piece, np.array(x_from), UNIT_BOUNDS, directions, t_max / 400, (400,)
         )
-        for d, miss, t_at in zip(directions, misses, times):
-            ref_miss, ref_t = self.scan_one(piece, x_from, d, t_max, 400)
+        assert controls.shape == (400, len(directions), 1)
+        for d, miss, t_at, held in zip(directions, misses, times, np.swapaxes(controls, 0, 1)):
+            (ref_miss, ref_t), ref_controls = self.scan_one(piece, x_from, d, t_max, 400)
             assert miss == pytest.approx(ref_miss, abs=1e-12)
             assert t_at == ref_t
+            # the seeds read a ray's arcs from this record, up to its best time
+            np.testing.assert_array_equal(held[: ref_controls.shape[0]], ref_controls)
 
     @pytest.mark.filterwarnings("error")  # a stopped row must not overflow later
     def test_row_that_never_takes_a_finite_step(self):
         piece = plant_piece([[80.0, 0.0], [0.0, 0.0]])
-        ((misses, times),) = pontryagin._scan_directions(
+        ((misses, times, _),) = pontryagin._scan_directions(
             piece, np.array([1.0, 0.0]), UNIT_BOUNDS, [np.array([1.0, 0.0])], 0.4, (100,)
         )
         assert misses[0] == np.inf and np.isnan(times[0])
@@ -491,6 +496,24 @@ class TestShootingRandomPieces:
         sol = min_time_transfer(piece, x_from, UNIT_BOUNDS)
         assert sol.transfer_time == pytest.approx(expected, abs=1e-9)
         assert len(sol.switch_times) == switches
+        assert_certified(piece, x_from, sol)
+
+    def test_underflowed_transition_rejects_the_trial(self):
+        # a trial step reaches durations (32.84, 1.87): expm(A 34.7) underflows
+        # to a singular matrix, which must read as a non-finite residual (so
+        # the trust region shrinks), not raise LinAlgError
+        A = [[-0.547100169634812, 1.259918509391637], [0.37486304513279944, -1.5808554455055794]]
+        B = [[-0.8546514698367423], [0.7051415271220325]]
+        x_from = np.array([0.7231586577878986, 0.8433537180939568])
+        piece = LinearPiece(A=A, B=B, t_start=0.0, t_end=1.0, anchor=[0.0, 0.0])
+        residuals, jac = pontryagin._arc_flow(
+            piece, x_from, np.array([[-1.0], [1.0]]), np.array([32.84, 1.87])
+        )
+        assert not np.isfinite(residuals).any() and not np.isfinite(jac).any()
+        sol = min_time_transfer(piece, x_from, UNIT_BOUNDS)
+        # a discretised LP bounds it from above by 5.154487 at 800 steps
+        assert sol.transfer_time == pytest.approx(5.154481317529221, abs=1e-9)
+        assert len(sol.switch_times) == 1
         assert_certified(piece, x_from, sol)
 
 
