@@ -99,7 +99,8 @@ def fit_model(
     record at the partition knots.  Scalar problems use the exact
     two-endpoint solve, on all subintervals at once; the subintervals it
     leaves, and every n >= 2 subinterval, take least squares over their
-    samples.
+    samples.  A subinterval that cannot be fitted raises with its piece
+    index in front of the message.
     """
     if record.label == NEGATIVE and not allow_negative:
         raise ValueError(
@@ -128,7 +129,11 @@ def fit_model(
         solved = np.zeros(partition.num_pieces, dtype=bool)
         anchors = rec.interp_state(knots[1:])
     for k in np.flatnonzero(~solved):
-        A[k], B[k] = _fit_subinterval(rec, knots[k], knots[k + 1])
+        try:
+            A[k], B[k] = _fit_subinterval(rec, knots[k], knots[k + 1])
+        except ValueError as exc:
+            exc.args = (f"piece {k}: {exc.args[0]}",) + exc.args[1:]
+            raise
     return PiecewiseLinearModel(partition, A, B, anchors)
 
 
@@ -200,13 +205,13 @@ def ingest_trajectories(path):
     linenos = list(compress(count(1), keep))
     if not lines:
         raise TrajectoryParseError(f"{path}: no header found", line=None)
-    header = [f.strip() for f in next(csv.reader(lines[:1]))]
+    header = [f.strip() for f in _rows(path, lines[:1], linenos[:1])[0]]
     n, r, has_dx = _parse_header(header, linenos[0], path)
     ncols = 3 + n + r + (n if has_dx else 0)
     lines, linenos = lines[1:], linenos[1:]
     if not lines:
         return []
-    rows = _rows(lines)
+    rows = _rows(path, lines, linenos)
     columns = _columns(rows, ncols)
     if columns is None:
         raise _first_row_error(path, rows, linenos, ncols)
@@ -250,8 +255,12 @@ def ingest_trajectories(path):
     return records
 
 
-def _rows(lines):
-    """The CSV fields of each line, every line read on its own."""
+def _rows(path, lines, linenos):
+    """The CSV fields of each line, every line read on its own.
+
+    A line that the csv module rejects (such as a field over its size limit) raises
+    :class:`TrajectoryParseError` with its line number.
+    """
     try:
         rows = list(csv.reader(lines))
     except csv.Error:
@@ -259,7 +268,13 @@ def _rows(lines):
     if len(rows) == len(lines):
         return rows
     # a quote left open at the end of a line ran on into the next lines
-    return [next(csv.reader([line])) for line in lines]
+    rows = []
+    for lineno, line in zip(linenos, lines):
+        try:
+            rows.append(next(csv.reader([line])))
+        except csv.Error as exc:
+            raise TrajectoryParseError(f"{path}:{lineno}: {exc}", line=lineno) from None
+    return rows
 
 
 def _columns(rows, ncols):

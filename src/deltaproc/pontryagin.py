@@ -69,17 +69,17 @@ def least_squares(flow, x0):
     """Durations d >= 0 near x0 that minimise the cost |r(d)|^2 / 2.
 
     ``flow(d)`` returns the residuals r and their Jacobian from one pass.  This
-    is Coleman & Li's reflective trust region (SIAM J. Optim. 6, 1996) on the
-    one bound d >= 0, as scipy's ``trf`` takes it with exact subproblems, cut
-    down to the few unknowns of an arc sequence.  Each iteration scales the
-    Gauss-Newton model by the distance to the bound that the gradient points
-    at, and solves its trust-region subproblem from one SVD.  A step that
-    would cross d = 0 is cut there, reflected off the bound or replaced by the
-    scaled anti-gradient, whichever the model prefers.  A solve ends after
-    MAX_NFEV evaluations, when the scaled gradient vanishes (GRADIENT_TOL), or
-    when a step whose actual cost reduction is more than a quarter of the
-    predicted one lowers the cost by less than STALL_FTOL of itself.  ``nfev``
-    counts every evaluation, rejected trial steps included.
+    is a trust region on the one bound d >= 0 with Coleman & Li's scaling
+    (SIAM J. Optim. 6, 1996), as scipy's ``trf`` takes it with exact
+    subproblems, cut down to the few unknowns of an arc sequence.  Each
+    iteration scales the Gauss-Newton model by the distance to the bound that
+    the gradient points at, and solves its trust-region subproblem from one
+    SVD.  A step that would cross d = 0 is cut there and pulled back to theta
+    of that; nothing is reflected off the bound.  A solve ends after MAX_NFEV
+    evaluations, when the scaled gradient vanishes (GRADIENT_TOL), or when a
+    step whose actual cost reduction is more than a quarter of the predicted
+    one lowers the cost by less than STALL_FTOL of itself.  ``nfev`` counts
+    every evaluation, rejected trial steps included.
     """
     x = np.maximum(np.asarray(x0, dtype=float), 1e-10)  # strictly inside the bound
     f, J = flow(x)
@@ -107,13 +107,15 @@ def least_squares(flow, x0):
         reduction = -1.0
         while reduction <= 0.0 and nfev < MAX_NFEV:
             p_h, alpha = _trust_region_step(f.size, uf, s, vt, radius, alpha)
-            step, step_h, predicted = _reflective_step(
-                x, J_h, diag_h, g_h, p_h, scale, radius, theta
-            )
+            step = scale * p_h
+            if not (x + step >= 0.0).all():
+                cut = theta * _to_bound(x, step)
+                step, p_h = step * cut, p_h * cut
+            predicted = -_model(J_h, diag_h, g_h, p_h)
             x_new = np.maximum(x + step, np.nextafter(0.0, 1.0))
             f_new, J_new = flow(x_new)
             nfev += 1
-            step_h_norm = _norm(step_h)
+            step_h_norm = _norm(p_h)
             if not np.isfinite(f_new).all():
                 radius = 0.25 * step_h_norm
                 continue
@@ -184,63 +186,12 @@ def _trust_region_step(m, uf, s, vt, radius, alpha):
     return p * (radius / _norm(p)), alpha
 
 
-def _reflective_step(x, J_h, diag_h, g_h, p_h, scale, radius, theta):
-    """trf's step from x >= 0: (step, step in scaled variables, predicted reduction).
-
-    The scaled model is m(p) = |J_h p|^2 / 2 + p^T diag(diag_h) p / 2 + g_h^T p,
-    and a scaled step p maps to scale * p.  A trust-region step p_h that keeps
-    x + step >= 0 is taken whole.  Otherwise three candidates compete on the
-    model: p_h cut at the bound and pulled back to theta of that, its
-    reflection off the bound from there, and the scaled anti-gradient.
-    """
-    p = scale * p_h
-    if (x + p >= 0.0).all():
-        return p, p_h, -_model(J_h, diag_h, g_h, p_h)
-
-    stride, hits = _to_bound(x, p)
-    r_h = np.where(hits, -p_h, p_h)
-    r = scale * r_h
-    p, p_h = p * stride, p_h * stride
-    # the reflected ray leaves the trust region or meets the bound again
-    a, b, c = r_h @ r_h, p_h @ r_h, p_h @ p_h - radius**2
-    q = -(b + math.copysign(np.sqrt(b * b - a * c), b))
-    to_tr = max(q / a, c / q)
-    to_bound, _ = _to_bound(x + p, r)
-    r_stride = min(to_bound, to_tr)
-    if r_stride > 0.0:
-        r_lo = (1.0 - theta) * stride / r_stride
-        r_hi = theta * to_bound if r_stride == to_bound else to_tr
-    else:
-        r_lo, r_hi = 0.0, -1.0
-    r_value = np.inf
-    if r_lo <= r_hi:
-        r_stride, r_value = _line_min(J_h, diag_h, g_h, r_h, r_lo, r_hi, p_h)
-        r_h = r_h * r_stride + p_h
-        r = r_h * scale
-    p, p_h = p * theta, p_h * theta
-    p_value = _model(J_h, diag_h, g_h, p_h)
-
-    ag_h = -g_h
-    ag = scale * ag_h
-    to_tr = radius / _norm(ag_h)
-    to_bound, _ = _to_bound(x, ag)
-    ag_stride, ag_value = _line_min(
-        J_h, diag_h, g_h, ag_h, 0.0, theta * to_bound if to_bound < to_tr else to_tr
-    )
-    if p_value < r_value and p_value < ag_value:
-        return p, p_h, -p_value
-    if r_value < p_value and r_value < ag_value:
-        return r, r_h, -r_value
-    return ag * ag_stride, ag_h * ag_stride, -ag_value
-
-
 def _to_bound(x, step):
-    """The least t >= 0 with x + t step on d = 0 (inf if none), and the components there."""
+    """The least t >= 0 with x + t step on d = 0 (inf if none)."""
     strides = np.full(x.size, np.inf)
     down = step < 0.0
     strides[down] = -x[down] / step[down]
-    t = strides.min()
-    return t, strides == t
+    return strides.min()
 
 
 def _norm(v):
@@ -249,28 +200,12 @@ def _norm(v):
 
 
 def _model(J_h, diag_h, g_h, p_h):
-    """The scaled model of :func:`_reflective_step` at p_h."""
+    """The scaled model m(p_h) = |J_h p_h|^2 / 2 + p_h^T diag(diag_h) p_h / 2 + g_h^T p_h.
+
+    A scaled step p_h maps to the step scale * p_h in the durations.
+    """
     Jp = J_h @ p_h
     return 0.5 * (Jp @ Jp + (p_h * diag_h) @ p_h) + p_h @ g_h
-
-
-def _line_min(J_h, diag_h, g_h, s, lo, hi, s0=None):
-    """(t, model value) that minimise the model at s0 + t s over lo <= t <= hi."""
-    Js = J_h @ s
-    a = 0.5 * (Js @ Js + (s * diag_h) @ s)
-    b = g_h @ s
-    c = 0.0
-    if s0 is not None:
-        Js0 = J_h @ s0
-        b += Js0 @ Js
-        b += (s0 * diag_h) @ s
-        c = 0.5 * (Js0 @ Js0) + g_h @ s0 + 0.5 * ((s0 * diag_h) @ s0)
-    ts = [lo, hi]
-    if a != 0.0 and lo < -0.5 * b / a < hi:
-        ts.append(-0.5 * b / a)
-    values = [t * (a * t + b) + c for t in ts]
-    best = int(np.argmin(values))
-    return ts[best], values[best]
 
 
 @dataclass(frozen=True)
@@ -554,12 +489,14 @@ def _arc_flow(piece, x_from, vertices, durations):
     x, carry = x_from, np.eye(A.shape[0])
     transitions, gains = affine_transition(A, durations)
     velocities, switches = [], []
+    # one switch leaves no residual of its own: build its rows only with two or more
+    rows_needed = A.shape[0] == 2 and (vertices[1:] != vertices[:-1]).sum() > 1
     for i, (v, phi, gain) in enumerate(zip(vertices, transitions, gains)):
         drive = piece.B @ v
         x = phi @ x + gain @ drive
         velocities.append(A @ x + drive)
         carry = phi @ carry
-        if A.shape[0] == 2 and i + 1 < len(vertices):
+        if rows_needed and i + 1 < len(vertices):
             try:
                 rows = np.linalg.solve(carry, piece.B)  # expm(-A t_i) B
             except np.linalg.LinAlgError:  # expm(A t_i) underflowed: reject the trial

@@ -151,6 +151,17 @@ class TestFit:
         assert code == EXIT_INVALID
         assert f"{data}:3: id 'a' has non-finite sample time nan" in capsys.readouterr().err
 
+    def test_over_long_field_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text(
+            "traj_id,label,t,x0,u0\n"
+            "a,positive,0.0,0.0,0.5\n"
+            "a,positive,1.0,0.5," + "5" * 200_000 + "\n"
+        )
+        code = main(["solve", "--problem", str(data), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert f"{data}:3: field larger than field limit" in capsys.readouterr().err
+
     def test_single_piece_linear_csv(self, tmp_path):
         data = tmp_path / "lin.csv"
         lines = ["traj_id,label,t,x0,u0,dx0"]

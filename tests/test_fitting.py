@@ -129,7 +129,7 @@ class TestFitPiece:
             endpoint_fit(0.5, 0.5, 0.1, 0.2, 1.0)
 
     def test_zero_control(self):
-        with pytest.raises(SingularFitError, match="^u_data = 0 leaves"):
+        with pytest.raises(SingularFitError, match="^piece 0: u_data = 0 leaves"):
             endpoint_fit(0.0, 1.0, 0.5, 1.0, 0.0)
 
     @given(
@@ -463,6 +463,19 @@ class TestIngest:
         rows[3] = 'a,positive,"3.0,3.5,0.5'
         path.write_text("traj_id,label,t,x0,u0\n" + "\n".join(rows) + "\n")
         assert assert_same_error(path).line == 5
+
+    @pytest.mark.parametrize("line", [2, 5])
+    def test_over_long_field_names_its_line(self, tmp_path, line):
+        # a field over the csv module's size limit (131 072 characters), in
+        # the header or in a row
+        path = tmp_path / "long.csv"
+        lines = BASE_LINES[:]
+        lines[line - 1] += "," + "9" * 200_000
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryParseError) as info:
+            ingest_trajectories(path)
+        assert info.value.line == line
+        assert str(info.value).startswith(f"{path}:{line}: field larger than field limit")
 
     @pytest.mark.parametrize("second", [None, *BAD_ROWS])
     @pytest.mark.parametrize("first", list(BAD_ROWS))

@@ -499,15 +499,21 @@ class TestShootingRandomPieces:
         assert_certified(piece, x_from, sol)
 
     def test_underflowed_transition_rejects_the_trial(self):
-        # a trial step reaches durations (32.84, 1.87): expm(A 34.7) underflows
-        # to a singular matrix, which must read as a non-finite residual (so
-        # the trust region shrinks), not raise LinAlgError
+        # trial steps reach durations near (32.84, 1.87), where expm(A 34.7)
+        # underflows to a singular matrix.  A two-arc sequence builds no
+        # switching rows, so its residual stays finite; with a second switch
+        # the singular solve must read as a non-finite residual (so the trust
+        # region shrinks), not raise LinAlgError
         A = [[-0.547100169634812, 1.259918509391637], [0.37486304513279944, -1.5808554455055794]]
         B = [[-0.8546514698367423], [0.7051415271220325]]
         x_from = np.array([0.7231586577878986, 0.8433537180939568])
         piece = LinearPiece(A=A, B=B, t_start=0.0, t_end=1.0, anchor=[0.0, 0.0])
-        residuals, jac = pontryagin._arc_flow(
+        residuals, _ = pontryagin._arc_flow(
             piece, x_from, np.array([[-1.0], [1.0]]), np.array([32.84, 1.87])
+        )
+        assert np.isfinite(residuals).all()
+        residuals, jac = pontryagin._arc_flow(
+            piece, x_from, np.array([[-1.0], [1.0], [-1.0]]), np.array([32.84, 1.87, 0.1])
         )
         assert not np.isfinite(residuals).any() and not np.isfinite(jac).any()
         sol = min_time_transfer(piece, x_from, UNIT_BOUNDS)
@@ -565,3 +571,22 @@ class TestArcDurationSolve:
         assert all(np.all(d >= 0.0) for d in calls)
         assert result.x[0] == pytest.approx(1.0, abs=1e-6) and 0.0 <= result.x[1] <= 1e-6
         np.testing.assert_array_equal(result.fun, result.x - target)
+
+    def test_non_finite_trials_shrink_the_step_until_the_budget_ends(self):
+        # finite at x0 and non-finite at every trial: each trial is rejected,
+        # the trust radius shrinks, and the solve keeps x0 (clipped to the bound)
+        calls = []
+
+        def flow(d):
+            calls.append(d.copy())
+            if len(calls) == 1:
+                return d - np.array([2.0, -1.0]), np.eye(2)
+            return np.full(2, np.nan), np.full((2, 2), np.nan)
+
+        result = pontryagin.least_squares(flow, np.array([0.5, -0.25]))
+        assert result.nfev == len(calls) == pontryagin.MAX_NFEV
+        assert all(np.all(d >= 0.0) for d in calls)
+        assert result.x.tolist() == [0.5, 1e-10]
+        np.testing.assert_array_equal(result.fun, result.x - [2.0, -1.0])
+        reach = [np.linalg.norm(d - result.x) for d in calls[1:]]
+        assert all(b < a for a, b in zip(reach, reach[1:]))

@@ -191,7 +191,14 @@ def per_piece_model(record, partition):
     """fit_model one subinterval at a time, stacked into the model's arrays."""
     rec = estimate_derivatives(record)
     knots = partition.knots
-    A, B = zip(*(per_piece_fit(rec, knots[k], knots[k + 1]) for k in range(partition.num_pieces)))
+    fits = []
+    for k in range(partition.num_pieces):
+        try:
+            fits.append(per_piece_fit(rec, knots[k], knots[k + 1]))
+        except ValueError as exc:
+            exc.args = (f"piece {k}: {exc.args[0]}",) + exc.args[1:]
+            raise
+    A, B = zip(*fits)
     anchors = [rec.interp_state(t_r) for t_r in knots[1:]]
     return PiecewiseLinearModel(partition, A, B, anchors)
 
@@ -391,7 +398,9 @@ class TestScalarLevel:
         record = TrajectoryRecord(id="r", label="positive", t=t, x=t**2 + t, u=u)
         partition = TimePartition(t[::2])
         expected = outcome(per_piece_solve, record, partition, UNIT_BOUNDS)
-        assert expected == (SingularFitError, "u_data = 0 leaves the input coefficient unidentifiable")
+        assert expected == (
+            SingularFitError, "piece 2: u_data = 0 leaves the input coefficient unidentifiable"
+        )
         assert outcome(solve_partition, record, partition, UNIT_BOUNDS) == expected
         assert outcome(fit_model, record, partition) == expected
 
@@ -405,8 +414,11 @@ class TestScalarLevel:
         record = TrajectoryRecord(id="r", label="positive", t=t, **data)
         partition = TimePartition(t[::2])
         expected = outcome(per_piece_solve, record, partition, UNIT_BOUNDS)
-        assert expected == (ValueError, "fit conditions must be finite")
+        # x and dx at t[2] end piece 0; u there is the control of piece 1 only
+        piece = 1 if column == "u" else 0
+        assert expected == (ValueError, f"piece {piece}: fit conditions must be finite")
         assert outcome(solve_partition, record, partition, UNIT_BOUNDS) == expected
+        assert outcome(fit_model, record, partition) == expected
 
     def test_infeasible_piece_error(self):
         # the data rise on [0.5, 0.75], but the derivative at its right end
