@@ -165,7 +165,10 @@ def _fit_subinterval(rec: TrajectoryRecord, t_l, t_r):
     :func:`fit_model` sends here every subinterval of an n >= 2 record and
     the scalar ones its endpoint solve leaves.  Of those, one whose endpoint
     states coincide is fitted; any other raises: ``ValueError`` for a
-    non-finite condition, else :class:`SingularFitError` for u = 0.
+    non-finite condition, else :class:`SingularFitError` for u = 0.  A
+    subinterval with fewer than n + r samples takes n + r + 1 rows
+    interpolated across it.  Any least-squares row that is not finite,
+    sampled or interpolated, raises ``ValueError`` too.
     """
     if rec.n == 1 and rec.r == 1:
         ends = np.array([t_l, t_r])
@@ -183,6 +186,8 @@ def _fit_subinterval(rec: TrajectoryRecord, t_l, t_r):
         xs = rec.interp_state(extra_t)
         us = rec.interp_control(extra_t)
         dxs = rec.interp_derivative(extra_t)
+    if not (np.isfinite(xs).all() and np.isfinite(us).all() and np.isfinite(dxs).all()):
+        raise ValueError("fit conditions must be finite")
     return fit_piece_general(xs, us, dxs)
 
 
@@ -198,7 +203,7 @@ def ingest_trajectories(path):
     record with a single row, raises :class:`TrajectoryParseError` with its
     line number.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         raw = fh.readlines()
     keep = [s[:1] not in ("", "#") for s in map(str.strip, raw)]
     lines = list(compress(raw, keep))

@@ -70,10 +70,10 @@ def least_squares(flow, x0):
 
     ``flow(d)`` returns the residuals r and their Jacobian from one pass.  This
     is a trust region on the one bound d >= 0 with Coleman & Li's scaling
-    (SIAM J. Optim. 6, 1996), as scipy's ``trf`` takes it with exact
-    subproblems, cut down to the few unknowns of an arc sequence.  Each
-    iteration scales the Gauss-Newton model by the distance to the bound that
-    the gradient points at, and solves its trust-region subproblem from one
+    (SIAM J. Optim. 6, 1996), as scipy's ``trf`` takes it, cut down to the
+    few unknowns of an arc sequence.  Each iteration scales the Gauss-Newton
+    model by the distance to the bound that the gradient points at, and
+    solves its trust-region subproblems (:func:`_trust_region_step`) from one
     SVD.  A step that would cross d = 0 is cut there and pulled back to theta
     of that; nothing is reflected off the bound.  A solve ends after MAX_NFEV
     evaluations, when the scaled gradient vanishes (GRADIENT_TOL), or when a
@@ -87,7 +87,6 @@ def least_squares(flow, x0):
     cost = 0.5 * (f @ f)
     g = J.T @ f
     radius = _norm(x / np.sqrt(np.where(g > 0.0, x, 1.0))) or 1.0
-    alpha = 0.0  # the Levenberg-Marquardt parameter of the last subproblem
     stalled = False
     while nfev < MAX_NFEV and not stalled:
         # v is the distance to d = 0 where the gradient points at the bound
@@ -106,7 +105,7 @@ def least_squares(flow, x0):
         theta = max(0.995, 1.0 - g_norm)  # how far short of the bound a step stops
         reduction = -1.0
         while reduction <= 0.0 and nfev < MAX_NFEV:
-            p_h, alpha = _trust_region_step(f.size, uf, s, vt, radius, alpha)
+            p_h = _trust_region_step(uf, s, vt, radius)
             step = scale * p_h
             if not (x + step >= 0.0).all():
                 cut = theta * _to_bound(x, step)
@@ -121,69 +120,45 @@ def least_squares(flow, x0):
                 continue
             cost_new = 0.5 * (f_new @ f_new)
             reduction = cost - cost_new
-            if predicted > 0.0:
-                ratio = reduction / predicted
-            else:
-                ratio = 1.0 if predicted == reduction == 0.0 else 0.0
+            ratio = reduction / predicted if predicted > 0.0 else 0.0
             if ratio > 0.25 and reduction < STALL_FTOL * cost:
                 stalled = True
                 break
             if ratio < 0.25:
-                new_radius = 0.25 * step_h_norm
+                radius = 0.25 * step_h_norm
             elif ratio > 0.75 and step_h_norm > 0.95 * radius:
-                new_radius = 2.0 * radius
-            else:
-                new_radius = radius
-            alpha *= radius / new_radius
-            radius = new_radius
+                radius = 2.0 * radius
         if reduction > 0.0:
             x, f, J, cost = x_new, f_new, J_new, cost_new
             g = J.T @ f
     return LeastSquaresResult(x, f, nfev)
 
 
-def _trust_region_step(m, uf, s, vt, radius, alpha):
-    """The least-squares step p with |p| <= radius, and its Levenberg-Marquardt alpha.
+def _trust_region_step(uf, s, vt, radius):
+    """The least-squares step p with |p| <= radius.
 
-    The model is the augmented system of SVD u diag(s) vt with m residual rows,
-    and uf = u^T f.  When the Gauss-Newton step of a full-rank system fits, it
-    is the answer (alpha = 0); otherwise alpha, started from the last one, is
-    found by Moré's safeguarded Newton iteration on |p(alpha)| = radius
-    (Lecture Notes in Mathematics 630, 1977), as in MINPACK.
+    The model is the augmented system of SVD u diag(s) vt, and uf = u^T f;
+    directions with s <= eps * s.size * s[0] are dropped.  When the least-norm
+    Gauss-Newton step fits, it is the answer.  Otherwise the Levenberg-Marquardt
+    step p(alpha) = -vt^T (s uf / (s^2 + alpha)) is put on the radius by Newton
+    steps on 1/|p(alpha)| from alpha = 0 (Reinsch, Numer. Math. 16, 1971;
+    Hebden, 1973).  That function is concave, so the iterates rise to the root
+    without a bracket.  They stop within 1 % of the radius, or after 10 steps,
+    and that p is scaled onto the radius.
     """
-    suf = s * uf
-    full_rank = m >= s.size and s[-1] > np.finfo(float).eps * m * s[0]
-    if full_rank:
-        p = -vt.T @ (uf / s)
-        if _norm(p) <= radius:
-            return p, 0.0
-
-    def excess(alpha):
-        """|p(alpha)| - radius and its derivative in alpha."""
-        denom = s**2 + alpha
-        p_norm = _norm(suf / denom)
-        return p_norm - radius, -np.sum(suf**2 / denom**3) / p_norm
-
-    upper = _norm(suf) / radius
-    lower = 0.0
-    if full_rank:
-        phi, phi_prime = excess(0.0)
-        lower = -phi / phi_prime
-    elif alpha == 0.0:
-        alpha = 0.001 * upper
+    keep = s > np.finfo(float).eps * s.size * s[0]
+    s, vt, suf = s[keep], vt[keep], s[keep] * uf[keep]
+    alpha, q = 0.0, suf / s**2
+    q_norm = _norm(q)
+    if q_norm <= radius:
+        return -vt.T @ q
     for _ in range(10):
-        if alpha < lower or alpha > upper:
-            alpha = max(0.001 * upper, (lower * upper) ** 0.5)
-        phi, phi_prime = excess(alpha)
-        if phi < 0.0:
-            upper = alpha
-        ratio = phi / phi_prime
-        lower = max(lower, alpha - ratio)
-        alpha -= (phi + radius) * ratio / radius
-        if abs(phi) < 0.01 * radius:
+        if q_norm - radius < 0.01 * radius:
             break
-    p = -vt.T @ (suf / (s**2 + alpha))
-    return p * (radius / _norm(p)), alpha
+        alpha += (q_norm - radius) / radius * q_norm**2 / np.sum(suf**2 / (s**2 + alpha) ** 3)
+        q = suf / (s**2 + alpha)
+        q_norm = _norm(q)
+    return vt.T @ q * (-radius / q_norm)
 
 
 def _to_bound(x, step):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +162,40 @@ class TestFit:
         code = main(["solve", "--problem", str(data), "--out", str(tmp_path / "out")])
         assert code == EXIT_INVALID
         assert f"{data}:3: field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "solve"])
+    @pytest.mark.parametrize("nan_at, k", [(0.35, 0), (1.0, 1)])
+    def test_non_finite_two_state_sample_names_its_piece(self, tmp_path, capsys, command, nan_at, k):
+        data = tmp_path / "nan.csv"
+        lines = ["traj_id,label,t,x0,x1,u0"]
+        for t in (np.arange(21) / 20).tolist():
+            x1 = "nan" if t == nan_at else repr(math.sin(t))
+            lines.append(f"a,positive,{t!r},{math.cos(t)!r},{x1},0.5")
+        data.write_text("\n".join(lines) + "\n")
+        argv = [command, "--num-pieces", "2", "--problem", str(data), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INVALID
+        assert f"error: piece {k}: fit conditions must be finite" in capsys.readouterr().err
+
+    def test_byte_order_mark_csv(self, tmp_path, capsys):
+        data = tmp_path / "bom.csv"
+        lines = ["\ufefftraj_id,label,t,x0,u0"]
+        for t in np.linspace(0.0, 1.0, 9).tolist():
+            lines.append(f"a,positive,{t!r},{0.8 * t!r},0.5")
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["solve", "--problem", str(data), "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert "total minimal time: 0.500000" in capsys.readouterr().out
+
+    def test_no_positive_record(self, tmp_path, capsys):
+        data = tmp_path / "negative.csv"
+        data.write_text(
+            "traj_id,label,t,x0,u0\n"
+            "a,negative,0.0,0.0,0.5\n"
+            "a,negative,1.0,0.5,0.5\n"
+        )
+        code = main(["fit", "--problem", str(data), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert f"{data}: no positive-labeled records to fit" in capsys.readouterr().err
 
     def test_single_piece_linear_csv(self, tmp_path):
         data = tmp_path / "lin.csv"

@@ -272,6 +272,38 @@ class TestFitModel:
                 dx = rec.interp_derivative(knot_t)
                 assert evaluate_rhs(piece, x, u)[0] == pytest.approx(dx[0], abs=1e-10)
 
+    @staticmethod
+    def circle_record(t, nan_at=()):
+        """x = (cos t, sin t) under u = 0.5, x1 = nan at the sample times ``nan_at``."""
+        t = np.asarray(t, dtype=float)
+        x = np.column_stack([np.cos(t), np.sin(t)])
+        x[np.isin(t, nan_at), 1] = np.nan
+        return TrajectoryRecord(id="r", label="positive", t=t, x=x, u=np.full((t.size, 1), 0.5))
+
+    @pytest.mark.parametrize("nan_at, k", [(0.35, 0), (1.0, 1)])
+    def test_non_finite_two_state_sample_names_its_piece(self, nan_at, k):
+        rec = self.circle_record(np.arange(21) / 20, nan_at)
+        with pytest.raises(ValueError, match=f"^piece {k}: fit conditions must be finite$"):
+            fit_model(rec, TimePartition.uniform(0.0, 1.0, 2))
+
+    def test_two_state_piece_with_two_samples_fits(self):
+        # [0.6, 1] holds the samples 0.75 and 1: fewer than n + r = 3, so its
+        # rows are interpolated across the piece, over the kink at 0.75
+        rec = estimate_derivatives(self.circle_record(np.linspace(0.0, 1.0, 5)))
+        model = fit_model(rec, TimePartition([0.0, 0.6, 1.0]))
+        rows = np.linspace(0.6, 1.0, 4)
+        A, B = fit_piece_general(
+            rec.interp_state(rows), rec.interp_control(rows), rec.interp_derivative(rows)
+        )
+        np.testing.assert_array_equal(model.A[1], A)
+        np.testing.assert_array_equal(model.B[1], B)
+
+    def test_two_state_piece_inside_one_sampling_interval_is_singular(self):
+        # every row interpolated inside [0, 0.25] lies in span{1, s}: rank 2
+        rec = self.circle_record(np.linspace(0.0, 1.0, 5))
+        with pytest.raises(SingularFitError, match=r"^piece 0: regressor rank 2 < 3"):
+            fit_model(rec, TimePartition([0.0, 0.1, 1.0]))
+
     @given(shift=st.floats(-5.0, 5.0))
     def test_time_translation_invariance(self, shift):
         rec = scalar_record(
@@ -606,6 +638,15 @@ class TestIngest:
         records = ingest_trajectories(path)
         assert len(records) == 1
         assert records[0].t.size == 3
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts with U+FEFF
+        text = "traj_id,label,t,x0,u0\na,positive,0.0,0.0,0.5\na,positive,1.0,0.5,0.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert_same_records(ingest_trajectories(marked), ingest_trajectories(plain))
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

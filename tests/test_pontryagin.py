@@ -11,6 +11,7 @@ from deltaproc import (
     InfeasibleTransferError,
     LinearPiece,
     PiecewiseLinearModel,
+    ShootingError,
     TimePartition,
     TrivialCostateError,
     adjoint_solve,
@@ -230,6 +231,15 @@ class TestShootingTransfer:
         box = ControlBounds(lower=[-1.0, -1.0], upper=[1.0, 1.0])
         with pytest.raises(DimensionMismatchError, match=r"^bounds dim 2 != piece input dim 1$"):
             min_time_transfer(plant_piece(DOUBLE_INTEGRATOR), x_from, box)
+
+    def test_unreachable_anchor_raises(self):
+        # x2' = 2 x2 holds no control: no arc sequence moves x2 from 1 to 0
+        piece = LinearPiece(
+            A=np.diag([1.0, 2.0]), B=[[1.0], [0.0]], t_start=0.0, t_end=1.0, anchor=[0.0, 0.0]
+        )
+        with pytest.raises(ShootingError, match="no certified transfer") as info:
+            min_time_transfer(piece, [0.0, 1.0], UNIT_BOUNDS)
+        assert info.value.best_residual == pytest.approx(1.0, abs=1e-6)
 
     def test_scipy_called_through_module_names(self, monkeypatch):
         # a tracer counts these calls by replacing the module attributes
@@ -590,3 +600,74 @@ class TestArcDurationSolve:
         np.testing.assert_array_equal(result.fun, result.x - [2.0, -1.0])
         reach = [np.linalg.norm(d - result.x) for d in calls[1:]]
         assert all(b < a for a, b in zip(reach, reach[1:]))
+
+
+class TestTrustRegionStep:
+    """``_trust_region_step`` against a bisection on |p(alpha)| = radius.
+
+    The reference p(alpha) = -(M^T M + alpha I)^-1 M^T f comes from the
+    normal equations, not from the SVD that the step is built from.
+    """
+
+    FRACTIONS = (0.9, 0.5, 0.1, 1e-3, 1e-6)
+
+    @staticmethod
+    def system(kind, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(6, 4)) * rng.uniform(0.01, 10.0, 4)
+        if kind == "dependent column":
+            M[:, 3] = M[:, 0] + M[:, 1]
+        elif kind == "zero column":
+            M[:, 1] = 0.0
+        f = rng.normal(size=6)
+        u, s, vt = np.linalg.svd(M, full_matrices=False)
+        return M, f, u.T @ f, s, vt
+
+    @staticmethod
+    def lm_step(M, f, alpha):
+        return -np.linalg.solve(M.T @ M + alpha * np.eye(M.shape[1]), M.T @ f)
+
+    def root(self, M, f, radius):
+        """The alpha > 0 with |p(alpha)| = radius, by bisection."""
+        lo, hi = 0.0, np.linalg.norm(M.T @ f) / radius  # |p(alpha)| < |M^T f| / alpha
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if np.linalg.norm(self.lm_step(M, f, mid)) > radius:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    @pytest.mark.parametrize("kind", ["full rank", "dependent column", "zero column"])
+    def test_gauss_newton_step_when_it_fits(self, kind):
+        for seed in range(20):
+            M, f, uf, s, vt = self.system(kind, seed)
+            least_norm = -np.linalg.lstsq(M, f, rcond=None)[0]
+            for fraction in (1.0 + 1e-9, 2.0):
+                radius = fraction * np.linalg.norm(least_norm)
+                p = pontryagin._trust_region_step(uf, s, vt, radius)
+                np.testing.assert_allclose(p, least_norm, rtol=1e-10, atol=1e-12 * radius)
+
+    @pytest.mark.parametrize("kind", ["full rank", "dependent column", "zero column"])
+    def test_levenberg_marquardt_step_on_the_radius(self, kind):
+        # the Newton iteration stops once |p(alpha)| is within 1 % of the
+        # radius, and from alpha = 0 it never passes the root: alpha lies
+        # between the roots of |p| = 1.01 radius and |p| = radius
+        for seed in range(20):
+            M, f, uf, s, vt = self.system(kind, seed)
+            keep = s > np.finfo(float).eps * s.size * s[0]
+            for fraction in self.FRACTIONS:
+                radius = fraction * np.linalg.norm(np.linalg.lstsq(M, f, rcond=None)[0])
+                p = pontryagin._trust_region_step(uf, s, vt, radius)
+                assert radius * (1.0 - 1e-12) <= np.linalg.norm(p) <= radius * (1.0 + 1e-12)
+                # p = c p(alpha) is, in SVD coordinates, -c s uf / (s^2 + alpha): the
+                # ratio -s uf / (vt p) is a line in s^2 with slope 1/c and intercept alpha/c
+                ratio = -(s * uf)[keep] / (vt[keep] @ p)
+                slope, intercept = np.polyfit(s[keep] ** 2, ratio, 1)
+                alpha = intercept / slope
+                reference = self.lm_step(M, f, alpha)
+                scaled = reference * (radius / np.linalg.norm(reference))
+                np.testing.assert_allclose(p, scaled, rtol=1e-7, atol=1e-12 * radius)
+                # alpha read back from p carries ~1e-8 relative error at the smallest radii
+                assert self.root(M, f, 1.01 * radius) * (1.0 - 1e-6) <= alpha
+                assert alpha <= self.root(M, f, radius) * (1.0 + 1e-6)
