@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import re
 import sys
 from itertools import groupby
@@ -253,13 +254,28 @@ def write_trace_csv(path, trace):
             )
 
 
+def _report(line):
+    """Print a summary line; a reader that closed stdout is not an input error.
+
+    On a broken pipe, stdout is pointed at os.devnull, so the rest of the
+    output and the flush at exit are dropped, and the command returns its
+    own exit code.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_fit(settings):
     record = _load_record(settings, dense=False)
     model = fit_model(record, _partition(record, settings))
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_model_csv(out / "model.csv", model)
-    print(f"wrote {out / 'model.csv'} ({model.partition.num_pieces} pieces)")
+    _report(f"wrote {out / 'model.csv'} ({model.partition.num_pieces} pieces)")
     return EXIT_OK
 
 
@@ -270,8 +286,8 @@ def cmd_solve(settings):
     out.mkdir(parents=True, exist_ok=True)
     write_model_csv(out / "model.csv", solution.model)
     write_schedule_csv(out / "schedule.csv", solution)
-    print(f"total minimal time: {solution.total_time:.6f}")
-    print(f"wrote {out / 'model.csv'} and {out / 'schedule.csv'}")
+    _report(f"total minimal time: {solution.total_time:.6f}")
+    _report(f"wrote {out / 'model.csv'} and {out / 'schedule.csv'}")
     return EXIT_OK
 
 
@@ -291,11 +307,11 @@ def cmd_delta(settings):
     write_trace_csv(out / "trace.csv", result.trace)
     write_schedule_csv(out / "schedule.csv", result.final_solution)
     last = result.trace[-1]
-    print(
+    _report(
         f"refinements: {last.m}, pieces: {last.num_pieces}, "
         f"total time: {last.total_time:.6f}, converged: {result.converged}"
     )
-    print(f"wrote {out / 'trace.csv'} and {out / 'schedule.csv'}")
+    _report(f"wrote {out / 'trace.csv'} and {out / 'schedule.csv'}")
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -311,13 +327,13 @@ def cmd_demo(name):
     solution = solve_partition(record, partition, bounds)
     diff = abs(solution.total_time - case.reported_total)
     flag = "MISMATCH" if diff > DEMO_FLAG_TOL else "ok"
-    print(f"{'case':<18}{'computed':>12}{'reference':>12}{'|diff|':>10}  status")
-    print(
+    _report(f"{'case':<18}{'computed':>12}{'reference':>12}{'|diff|':>10}  status")
+    _report(
         f"{case.name:<18}{solution.total_time:>12.4f}{case.reported_total:>12.4f}"
         f"{diff:>10.4f}  {flag}"
     )
     if flag == "MISMATCH":
-        print(
+        _report(
             f"note: recomputed total {solution.total_time:.4f} disagrees with the "
             f"reference figure {case.reported_total}; the computed value is reported as is."
         )

@@ -62,7 +62,11 @@ def estimate_derivatives(record: TrajectoryRecord) -> TrajectoryRecord:
 
 
 def fit_piece_general(xs, us, dxs):
-    """Least-squares (A, B) from samples (x_i, u_i, dx_i), any n, r >= 1."""
+    """Least-squares (A, B) from samples (x_i, u_i, dx_i), any n, r >= 1.
+
+    When fewer than n + r singular values of the regressor exceed 1e-10,
+    raises :class:`SingularFitError` naming the unidentifiable directions.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     dxs = np.atleast_2d(np.asarray(dxs, dtype=float))
@@ -70,22 +74,15 @@ def fit_piece_general(xs, us, dxs):
         raise ValueError("sample counts disagree")
     n = xs.shape[1]
     r = us.shape[1]
-    if xs.shape[0] < n + r:
-        raise SingularFitError(
-            f"{xs.shape[0]} samples cannot identify {n + r} regressor columns"
-        )
     regressor = np.hstack([xs, us])  # (m, n+r)
-    rank = np.linalg.matrix_rank(regressor, tol=1e-10)
+    coeffs, _, _, sing = np.linalg.lstsq(regressor, dxs, rcond=None)
+    rank = int(np.count_nonzero(sing > 1e-10))
     if rank < n + r:
-        _, sing, vt = np.linalg.svd(regressor)
-        deficient = vt[rank:]
+        vt = np.linalg.svd(regressor)[2]
         raise SingularFitError(
-            f"regressor rank {rank} < {n + r}; unidentifiable directions: {deficient}"
+            f"regressor rank {rank} < {n + r}; unidentifiable directions: {vt[rank:]}"
         )
-    coeffs, *_ = np.linalg.lstsq(regressor, dxs, rcond=None)
-    A = coeffs[:n].T
-    B = coeffs[n:].T
-    return A, B
+    return coeffs[:n].T, coeffs[n:].T
 
 
 def fit_model(
@@ -118,7 +115,7 @@ def fit_model(
             f"cover knots {uncovered}",
             uncovered_knots=uncovered,
         )
-    rec = estimate_derivatives(record) if record.dx is None else record
+    rec = estimate_derivatives(record)
     knots = partition.knots
     A = np.empty((partition.num_pieces, rec.n, rec.n))
     B = np.empty((partition.num_pieces, rec.n, rec.r))
@@ -166,9 +163,9 @@ def _fit_subinterval(rec: TrajectoryRecord, t_l, t_r):
     the scalar ones its endpoint solve leaves.  Of those, one whose endpoint
     states coincide is fitted; any other raises: ``ValueError`` for a
     non-finite condition, else :class:`SingularFitError` for u = 0.  A
-    subinterval with fewer than n + r samples takes n + r + 1 rows
-    interpolated across it.  Any least-squares row that is not finite,
-    sampled or interpolated, raises ``ValueError`` too.
+    subinterval with fewer than n + r samples takes the n + r + 1 samples
+    nearest its midpoint instead (ties to the earlier one), in time order.
+    Any least-squares row that is not finite raises ``ValueError`` too.
     """
     if rec.n == 1 and rec.r == 1:
         ends = np.array([t_l, t_r])
@@ -178,14 +175,11 @@ def _fit_subinterval(rec: TrajectoryRecord, t_l, t_r):
             if not np.isfinite(conditions).all():
                 raise ValueError("fit conditions must be finite")
             raise SingularFitError("u_data = 0 leaves the input coefficient unidentifiable")
-    mask = (rec.t >= t_l - 1e-12) & (rec.t <= t_r + 1e-12)
-    xs, us, dxs = rec.x[mask], rec.u[mask], rec.dx[mask]
-    if xs.shape[0] < rec.n + rec.r:
-        # too few interior samples; synthesize endpoint rows by interpolation
-        extra_t = np.linspace(t_l, t_r, rec.n + rec.r + 1)
-        xs = rec.interp_state(extra_t)
-        us = rec.interp_control(extra_t)
-        dxs = rec.interp_derivative(extra_t)
+    rows = np.flatnonzero((rec.t >= t_l - 1e-12) & (rec.t <= t_r + 1e-12))
+    if rows.size < rec.n + rec.r:
+        nearest = np.argsort(np.abs(rec.t - 0.5 * (t_l + t_r)), kind="stable")
+        rows = np.sort(nearest[: rec.n + rec.r + 1])
+    xs, us, dxs = rec.x[rows], rec.u[rows], rec.dx[rows]
     if not (np.isfinite(xs).all() and np.isfinite(us).all() and np.isfinite(dxs).all()):
         raise ValueError("fit conditions must be finite")
     return fit_piece_general(xs, us, dxs)

@@ -113,6 +113,24 @@ class TestFit:
         code = main(["fit", "--problem", str(tmp_path / "missing.csv")])
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("traj_id,label,t,x0", "need at least one x and one u column"),
+            ("traj_id,label,t,x0,x1,u0,dx0", "1 dx columns for 2 states"),
+            (
+                "traj_id,label,t,u0,x0",
+                "columns ['u0', 'x0'] do not match expected ['x0', 'u0']",
+            ),
+        ],
+    )
+    def test_bad_header_names_file_and_line(self, tmp_path, capsys, header, message):
+        data = tmp_path / "header.csv"
+        data.write_text(header + "\n")
+        code = main(["fit", "--problem", str(data), "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {data}:1: {message}\n"
+
     def test_repeated_sample_time_names_file_and_id(self, tmp_path, capsys):
         data = tmp_path / "repeat.csv"
         data.write_text(
@@ -514,6 +532,12 @@ class TestConfig:
         # with u_data=1 the first piece is (0.5, 1.0), not (0.5, 0.5)
         assert float(rows[0]["B00"]) == pytest.approx(1.0, abs=1e-6)
 
+    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta 0.01\n")
+        assert main(["--config", str(cfg), "fit", "--out", str(tmp_path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {cfg}:1: expected key=value, got 'delta 0.01'\n"
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
@@ -533,17 +557,19 @@ class TestSolverFailure:
         assert "solver failure" in capsys.readouterr().err
 
 
-def damped_oscillator_record():
-    """x1' = x2, x2' = -x1 - 0.3 x2 + u for 3 s from (1, 0), sampled every 5 ms.
+OSCILLATOR_A = np.array([[0.0, 1.0], [-1.0, -0.3]])
+OSCILLATOR_B = np.array([[0.0], [1.0]])
 
-    u = 0.8 cos(2t) is held over each 5 ms step, which is taken exactly
+
+def damped_oscillator_record(h=0.005):
+    """x1' = x2, x2' = -x1 - 0.3 x2 + u for 3 s from (1, 0), sampled every h.
+
+    u = 0.8 cos(2t) is held over each step of h, which is taken exactly
     through the augmented matrix exponential; dx is the right-hand side at
     each sample.
     """
-    A = np.array([[0.0, 1.0], [-1.0, -0.3]])
-    B = np.array([0.0, 1.0])
-    h = 0.005
-    t = np.linspace(0.0, 3.0, 601)
+    A, B = OSCILLATOR_A, OSCILLATOR_B[:, 0]
+    t = np.linspace(0.0, 3.0, round(3.0 / h) + 1)
     u = 0.8 * np.cos(2.0 * t)
     augmented = np.zeros((3, 3))
     augmented[:2, :2], augmented[:2, 2] = A * h, B * h
@@ -641,6 +667,41 @@ class TestTwoStateSolve:
         assert np.all(sol.transfer_times <= spans + 1e-9)
 
 
+class TestCoarseTwoStateRecord:
+    """The oscillator sampled every 0.1 s: 31 samples over 3 s.
+
+    From N = 16 on, every piece holds fewer than n + r = 3 samples, and from
+    N = 32 on, some lie inside one sampling interval.  Such a piece is fitted
+    from the samples nearest it, which satisfy the plant exactly.
+    """
+
+    @pytest.mark.parametrize("num_pieces", [16, 32, 64])
+    def test_every_piece_fits_the_plant(self, num_pieces):
+        record = damped_oscillator_record(0.1)
+        model = fit_model(record, TimePartition.uniform(0.0, 3.0, num_pieces))
+        assert np.abs(model.A - OSCILLATOR_A).max() < 1e-12
+        assert np.abs(model.B - OSCILLATOR_B).max() < 1e-12
+
+    def test_solve_prints_its_total(self, tmp_path, capsys):
+        data = tmp_path / "osc01.csv"
+        write_trajectories(data, [damped_oscillator_record(0.1)])
+        argv = ["solve", "--problem", str(data), "--num-pieces", "32", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "total minimal time: 2.827768"
+
+    def test_totals_rise_with_the_pieces_and_stay_below_the_span(self):
+        # each anchor is a state of the data, which |u| <= 0.8 < 1 reaches
+        # within the piece's span; refining adds anchors on the data's path
+        record = damped_oscillator_record(0.1)
+        bounds = ControlBounds(lower=[-1.0], upper=[1.0])
+        totals = [
+            solve_partition(record, TimePartition.uniform(0.0, 3.0, 2**k), bounds).total_time
+            for k in range(7)
+        ]
+        assert np.all(np.diff(totals) > 0.0)
+        assert totals[-1] < 3.0
+
+
 SCALAR_RUN = textwrap.dedent(
     """
     import json, sys
@@ -699,16 +760,44 @@ SWITCHING_RUN = textwrap.dedent(
 )
 
 
-def run_fresh(script, *args):
-    """The last output line of ``script`` in a fresh interpreter, as JSON."""
+def fresh_env():
+    """The environment of a fresh interpreter that imports this deltaproc."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(deltaproc.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(script, *args):
+    """The last output line of ``script`` in a fresh interpreter, as JSON."""
     done = subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, check=True,
+        env=fresh_env(), capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "--problem", "example1"], EXIT_OK),
+            (["delta", "--problem", "example1", "--max-refinements", "1"], EXIT_NOT_CONVERGED),
+            (["demo", "example1"], EXIT_OK),
+        ],
+    )
+    def test_a_closed_stdout_keeps_the_exit_code(self, tmp_path, argv, code):
+        # as `deltaproc solve | head -0`: the reader is gone before the first line
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "deltaproc.cli", *argv],
+                cwd=tmp_path, env=fresh_env(), stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (code, b"")
 
 
 class TestImportCost:

@@ -174,6 +174,11 @@ class TestFitPieceGeneral:
         with pytest.raises(SingularFitError):
             fit_piece_general(xs, us, dxs)
 
+    def test_fewer_samples_than_regressor_columns(self):
+        xs = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(SingularFitError, match=r"^regressor rank 2 < 3"):
+            fit_piece_general(xs, np.ones((2, 1)), xs)
+
     def test_noisy_full_rank_recovery(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(3, 3))
@@ -287,22 +292,29 @@ class TestFitModel:
             fit_model(rec, TimePartition.uniform(0.0, 1.0, 2))
 
     def test_two_state_piece_with_two_samples_fits(self):
-        # [0.6, 1] holds the samples 0.75 and 1: fewer than n + r = 3, so its
-        # rows are interpolated across the piece, over the kink at 0.75
+        # [0.6, 1] holds the samples 0.75 and 1: fewer than n + r = 3, so it
+        # takes the 4 samples nearest its midpoint 0.8: 0.25, 0.5, 0.75 and 1
         rec = estimate_derivatives(self.circle_record(np.linspace(0.0, 1.0, 5)))
         model = fit_model(rec, TimePartition([0.0, 0.6, 1.0]))
-        rows = np.linspace(0.6, 1.0, 4)
-        A, B = fit_piece_general(
-            rec.interp_state(rows), rec.interp_control(rows), rec.interp_derivative(rows)
-        )
+        A, B = fit_piece_general(rec.x[1:], rec.u[1:], rec.dx[1:])
         np.testing.assert_array_equal(model.A[1], A)
         np.testing.assert_array_equal(model.B[1], B)
 
-    def test_two_state_piece_inside_one_sampling_interval_is_singular(self):
-        # every row interpolated inside [0, 0.25] lies in span{1, s}: rank 2
-        rec = self.circle_record(np.linspace(0.0, 1.0, 5))
-        with pytest.raises(SingularFitError, match=r"^piece 0: regressor rank 2 < 3"):
-            fit_model(rec, TimePartition([0.0, 0.1, 1.0]))
+    def test_two_state_piece_inside_one_sampling_interval_fits(self):
+        # [0, 0.1] holds only the sample 0, so it takes the 4 samples nearest 0.05
+        rec = estimate_derivatives(self.circle_record(np.linspace(0.0, 1.0, 5)))
+        model = fit_model(rec, TimePartition([0.0, 0.1, 1.0]))
+        A, B = fit_piece_general(rec.x[:4], rec.u[:4], rec.dx[:4])
+        np.testing.assert_array_equal(model.A[0], A)
+        np.testing.assert_array_equal(model.B[0], B)
+
+    def test_nearest_sample_tie_goes_to_the_earlier(self):
+        # [0.4, 0.6] holds only the sample 0.5; 0 and 1 are equally near it
+        rec = estimate_derivatives(self.circle_record(np.linspace(0.0, 1.0, 5)))
+        model = fit_model(rec, TimePartition([0.0, 0.4, 0.6, 1.0]))
+        A, B = fit_piece_general(rec.x[:4], rec.u[:4], rec.dx[:4])
+        np.testing.assert_array_equal(model.A[1], A)
+        np.testing.assert_array_equal(model.B[1], B)
 
     @given(shift=st.floats(-5.0, 5.0))
     def test_time_translation_invariance(self, shift):
