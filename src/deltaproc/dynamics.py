@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 import numpy as np
 
@@ -20,12 +21,41 @@ from .errors import DimensionMismatchError, DivergenceError
 BLOWUP_LIMIT = 1e12
 
 
-# scipy serves only n >= 2 transitions and shooting, so it is imported on the
-# first such call and scalar runs never load it.
-def expm(a):
-    from scipy.linalg import expm as scipy_expm
+# Coefficients of the [13/13] Pade approximant to exp, scaled to 1 at k = 0 so
+# that a zero matrix gives exactly the identity, and the 1-norm up to which it
+# is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+PADE_13 = tuple(
+    factorial(26 - k) * factorial(13) / (factorial(26) * factorial(k) * factorial(13 - k))
+    for k in range(14)
+)
+THETA_13 = 5.371920351148152
 
-    return scipy_expm(a)
+
+def expm(a):
+    """Matrix exponential of ``a`` (..., n, n), batched over the leading axes.
+
+    Scaling and squaring on the [13/13] Pade approximant: each matrix is scaled
+    by its own power of two 2^-s to a 1-norm below THETA_13 and its approximant
+    squared s times, so a stacked matrix gets the same result as its own call.
+    Raises ``ValueError`` for a non-finite input.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("expm needs a finite matrix")
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0) / THETA_13)[1], 0)
+    a = np.ldexp(a, -s[..., None, None])
+    b, ident = PADE_13, np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    # the odd and even parts of the numerator; the denominator is v - u
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        r = np.where((s > k)[..., None, None], r @ r, r)
+    return r
 
 
 def as_vector(x, name="vector"):
@@ -324,8 +354,8 @@ def affine_transition(A, dt):
     TAC 1978): expm([[A dt, I dt], [0, 0]]) = [[Phi, G], [0, I]], with
     G = int_0^dt expm(A s) ds.  There ``dt`` may also be a 1-D array of
     durations; Phi and G are then (len(dt), n, n) stacks from one batched
-    exponential, each equal to its own call.  A 1x1 ``A`` = [[a]] takes the
-    closed form exp(a dt) and expm1(a dt)/a (dt when a = 0), without scipy.
+    exponential (:func:`expm`), each equal to its own call.  A 1x1 ``A`` =
+    [[a]] takes the closed form exp(a dt) and expm1(a dt)/a (dt when a = 0).
     """
     n = A.shape[0]
     if n == 1:

@@ -523,8 +523,11 @@ def _certificate(piece, bounds, x_from, vertices, durations):
     Each condition is a row that psi0 meets to CERT_TOL after the row is
     scaled to unit length.  The switch rows fix psi0 when they leave one free
     direction (for n = 2 the first switch fixes it up to sign, and later
-    switches only check it); when they leave more, a linear program looks
-    for psi0 among them.
+    switches only check it).  When they leave a plane of free psi0 (for
+    n = 2, an arc with no switch), psi0 is the :func:`_arc_bisector` of the
+    rows projected onto that plane: the one choice of a costate that is not
+    unique, and it needs no solver.  A free set of dimension 3 or more
+    (n >= 3) is searched by a linear program, the only use of scipy here.
     """
     n = piece.n
     ends = np.cumsum(durations)
@@ -543,6 +546,8 @@ def _certificate(piece, bounds, x_from, vertices, durations):
     rows = _unit_rows(np.vstack([sign_rows, piece.A @ x_from + piece.B @ vertices[0]]))
     if free.shape[0] == 1:
         candidates = (free[0], -free[0])
+    elif free.shape[0] == 2:
+        candidates = _arc_bisector(rows @ free.T) @ free
     else:
         from scipy.optimize import linprog
 
@@ -565,6 +570,24 @@ def _certificate(piece, bounds, x_from, vertices, durations):
         if (rows @ psi0).min() >= -CERT_TOL:
             return psi0
     return None
+
+
+def _arc_bisector(points):
+    """The unit bisector (1, 2) of the least arc of the circle that holds the
+    directions of the 2-D ``points``; (0, 2) when none is longer than CERT_TOL.
+
+    Shorter points are dropped.  If that arc is no wider than pi, the bisector
+    is within pi/2 of every direction, so its product with each point is >= 0.
+    """
+    points = points[np.hypot(points[:, 0], points[:, 1]) > CERT_TOL]
+    angles = np.sort(np.arctan2(points[:, 1], points[:, 0]))
+    if not angles.size:
+        return np.empty((0, 2))
+    # the arc is the circle less the widest gap between neighbouring angles
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    j = gaps.argmax()
+    middle = angles[j] - (2.0 * np.pi - gaps[j]) / 2.0
+    return np.array([[np.cos(middle), np.sin(middle)]])
 
 
 def _unit_rows(rows):

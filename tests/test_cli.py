@@ -814,9 +814,9 @@ class TestImportCost:
         assert result["transfer_time"] == pytest.approx(expected, abs=1e-6)
         assert result["switches"] == 1
 
-    def test_switching_transfer_leaves_scipy_optimize_unloaded(self):
-        # the arc-duration solve is in-house; only expm needs scipy.linalg
+    def test_switching_transfer_leaves_scipy_unloaded(self):
+        # the arc-duration solve and expm are in-house
         result = run_fresh(SWITCHING_RUN)
         assert result == {
-            "switches": 1, "loads_scipy_linalg": True, "loads_scipy_optimize": False,
+            "switches": 1, "loads_scipy_linalg": False, "loads_scipy_optimize": False,
         }

@@ -122,6 +122,33 @@ class TestIntegrate:
 DOUBLE_INTEGRATOR = [[0.0, 1.0], [0.0, 0.0]]
 
 
+class TestExpm:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_scipy(self, n):
+        # scipy's expm is the oracle here only; 1-norms from 1e-6 to 50
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(200, n, n))
+        norms = 10.0 ** rng.uniform(-6.0, np.log10(50.0), size=200)
+        stack *= (norms / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+        expected = np.array([expm(a) for a in stack])
+        got = dynamics.expm(stack)
+        scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+        np.testing.assert_allclose(got / scale, expected / scale, rtol=0.0, atol=1e-11)
+        for a, one in zip(stack[:20], got[:20]):
+            np.testing.assert_array_equal(dynamics.expm(a), one)
+
+    def test_zero_matrix_is_identity(self):
+        np.testing.assert_array_equal(dynamics.expm(np.zeros((3, 3))), np.eye(3))
+
+    def test_empty_stack(self):
+        assert dynamics.expm(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.expm(np.array([[0.0, value], [1.0, 0.0]]))
+
+
 class TestAffineTransition:
     def test_double_integrator_closed_form(self):
         phi, gain = dynamics.affine_transition(np.array(DOUBLE_INTEGRATOR), 0.3)

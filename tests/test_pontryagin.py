@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -430,6 +437,91 @@ class TestShootingClosedForms:
         assert len(sol.switch_times) == 2
         assert np.diff(sol.switch_times)[0] == pytest.approx(np.pi, abs=1e-9)
         assert_certified(plant_piece(OSCILLATOR), (3.0, 0.0), sol)
+
+
+
+def arc_rows(rng, width, free, count=60):
+    """``count`` rows in R^3 whose projections onto the plane of ``free`` (2, 3)
+    span an arc of exactly ``width`` radians, at random lengths and turn."""
+    angles = rng.uniform(0.0, width, count)
+    angles[:2] = 0.0, width
+    angles += rng.uniform(0.0, 2.0 * np.pi)
+    planar = rng.uniform(0.1, 1.0, (count, 1)) * np.c_[np.cos(angles), np.sin(angles)]
+    normal = np.cross(*free)
+    return planar @ free + rng.normal(size=(count, 1)) * normal
+
+
+def linprog_costate(rows, free):
+    """The linear program that a free set of dimension 3 or more is searched by."""
+    projected = rows @ free.T
+    lp = linprog(
+        np.zeros(free.shape[0]), A_ub=-projected, b_ub=np.zeros(rows.shape[0]),
+        A_eq=projected.sum(axis=0, keepdims=True), b_eq=[rows.shape[0]],
+        bounds=(None, None), method="highs",
+    )
+    if lp.status != 0:
+        return None
+    psi0 = lp.x @ free
+    return psi0 / np.linalg.norm(psi0)
+
+
+ONE_ARC_RUN = textwrap.dedent(
+    """
+    import json, sys
+    import deltaproc
+
+    piece = deltaproc.LinearPiece(
+        A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]], t_start=0.0, t_end=1.0,
+        anchor=[0.0, 0.0],
+    )
+    bounds = deltaproc.ControlBounds(lower=[-1.0], upper=[1.0])
+    sol = deltaproc.min_time_transfer(piece, [1.0, -1.0], bounds)
+    print(json.dumps({
+        "transfer_time": sol.transfer_time,
+        "switches": len(sol.switch_times),
+        "scipy_modules": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    }))
+    """
+)
+
+
+class TestPlaneCertificate:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bisector_found_exactly_when_linprog_finds_a_costate(self, seed):
+        rng = np.random.default_rng(seed)
+        found = {True: 0, False: 0}
+        for _ in range(40):
+            free = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+            narrow, wide = rng.uniform(0.0, np.pi - 0.01), rng.uniform(np.pi + 0.01, 2.0 * np.pi)
+            width = rng.choice([narrow, wide])
+            rows = arc_rows(rng, width, free)
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            (bisector,) = pontryagin._arc_bisector(rows @ free.T) @ free
+            by_bisector = (rows @ bisector).min() >= -pontryagin.CERT_TOL
+            lp = linprog_costate(rows, free)
+            by_linprog = lp is not None and (rows @ lp).min() >= -pontryagin.CERT_TOL
+            assert by_bisector == by_linprog == (width < np.pi)
+            assert np.linalg.norm(bisector) == pytest.approx(1.0, abs=1e-15)
+            found[by_bisector] += 1
+        assert min(found.values()) > 0
+
+    def test_short_projections_are_dropped(self):
+        points = np.array([[1.0, 0.0], [0.0, 1.0], [-0.5e-6, -0.5e-6]])
+        np.testing.assert_allclose(pontryagin._arc_bisector(points), [[0.5**0.5, 0.5**0.5]])
+        assert pontryagin._arc_bisector(points[2:]).shape == (0, 2)
+
+    def test_one_arc_transfer_loads_no_scipy(self):
+        # a fresh interpreter: this test process has loaded scipy already
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pontryagin.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", ONE_ARC_RUN], env=env, capture_output=True, text=True, check=True
+        )
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["transfer_time"] == pytest.approx(np.pi / 2.0, abs=1e-9)
+        assert result["switches"] == 0
+        assert result["scipy_modules"] == []
 
 
 def rotation_replay(x_from, sol):
