@@ -71,7 +71,8 @@ SETTINGS = {
 
 def read_config(path):
     cfg = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

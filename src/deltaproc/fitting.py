@@ -1,9 +1,10 @@
 """Fit piecewise-constant linear models to sampled trajectory data.
 
 Scalar subintervals use the exact two-endpoint solve (the construction used
-to derive the worked benchmark coefficients); multivariate subintervals fall
-back to least squares over all interior samples.  Records labeled negative
-are excluded from fitting by default.
+to derive the worked benchmark coefficients); multivariate subintervals take
+least squares over their samples, or over the n + r + 1 samples nearest
+them when they hold fewer than n + r.  Records labeled negative are excluded
+from fitting by default.
 """
 
 from __future__ import annotations
@@ -190,16 +191,18 @@ def ingest_trajectories(path):
 
     Header: ``traj_id,label,t,x0..x{n-1},u0..u{r-1}[,dx0..dx{n-1}]``.  Each
     physical line is one row, read as CSV on its own with every field
-    stripped; blank lines and lines starting with ``#`` are skipped.  Records
-    come in the order their ``traj_id`` first appears, each sorted by ``t``.
-    The first malformed row (a non-finite ``t`` included), else the first row
-    that repeats an earlier sample time of its record, else the first row of a
-    record with a single row, raises :class:`TrajectoryParseError` with its
-    line number.
+    stripped; blank lines and lines starting with ``#`` are skipped.  Numbers
+    are read as by ``float``.  The rows are parsed in one numpy pass; a file
+    that pass refuses is read again by the csv module, with identical results.
+    Records come in the order their ``traj_id`` first appears, each sorted by
+    ``t``.  The first malformed row (a non-finite ``t`` included), else the
+    first row that repeats an earlier sample time of its record, else the
+    first row of a record with a single row, raises
+    :class:`TrajectoryParseError` with its line number.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         raw = fh.readlines()
-    keep = [s[:1] not in ("", "#") for s in map(str.strip, raw)]
+    keep = [s[:1] not in ("", "#") for s in map(str.lstrip, raw)]
     lines = list(compress(raw, keep))
     linenos = list(compress(count(1), keep))
     if not lines:
@@ -210,12 +213,13 @@ def ingest_trajectories(path):
     lines, linenos = lines[1:], linenos[1:]
     if not lines:
         return []
-    rows = _rows(path, lines, linenos)
-    columns = _columns(rows, ncols)
+    columns = _checked(_table(lines, ncols))
     if columns is None:
-        raise _first_row_error(path, rows, linenos, ncols)
-    ids, labels, values = columns
-    label_of = dict(zip(ids, labels))
+        rows = _rows(path, lines, linenos)
+        columns = _checked(_columns(rows, ncols))
+        if columns is None:
+            raise _first_row_error(path, rows, linenos, ncols)
+    ids, label_of, values = columns
     # rows grouped by id in first-appearance order, each group sorted by t;
     # lexsort is stable, so rows with equal keys keep their file order
     code_of = {traj_id: k for k, traj_id in enumerate(label_of)}
@@ -276,27 +280,58 @@ def _rows(path, lines, linenos):
     return rows
 
 
-def _columns(rows, ncols):
+def _table(lines, ncols):
     """Stripped ids and labels and a (ncols - 2, rows) array of the numbers.
 
-    None when any row is malformed; :func:`_first_row_error` then names it.
+    One C-level ``np.loadtxt`` pass; None where it may differ from the csv
+    module: numpy refuses a line (``1_000``, a malformed row), a quote left
+    open joins lines, or a line exceeds the csv module's field size limit.
+    """
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    dtype = [("id", object), ("label", object), ("v", float, (ncols - 2,))]
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(table) < len(lines):
+        return None
+    return [*map(str.strip, table["id"])], [*map(str.strip, table["label"])], table["v"].T
+
+
+def _columns(rows, ncols):
+    """The same columns from the csv module's rows, each field stripped.
+
+    None when a row has the wrong column count or a number that ``float``
+    refuses; :func:`_first_row_error` then names it.
     """
     if set(map(len, rows)) != {ncols}:
         return None
-    fields = list(chain.from_iterable(rows))
-    ids = list(map(str.strip, fields[0::ncols]))
-    labels = list(map(str.strip, fields[1::ncols]))
-    if not {POSITIVE, NEGATIVE}.issuperset(labels):
-        return None
-    if len(set(zip(ids, labels))) != len(set(ids)):
-        return None
+    fields = [f.strip() for f in chain.from_iterable(rows)]
     try:
         values = np.array([list(map(float, fields[j::ncols])) for j in range(2, ncols)])
     except ValueError:
         return None
-    if not np.isfinite(values[0]).all():
+    return fields[0::ncols], fields[1::ncols], values
+
+
+def _checked(columns):
+    """Ids, the label of each id and the numbers, if the columns pass the checks.
+
+    None when there are no columns, a label is neither positive nor negative,
+    an id has two labels or a sample time is not finite.
+    """
+    if columns is None:
         return None
-    return ids, labels, values
+    ids, labels, values = columns
+    label_of = dict(zip(ids, labels))
+    if (
+        {POSITIVE, NEGATIVE}.issuperset(labels)
+        and len(set(zip(ids, labels))) == len(label_of)
+        and np.isfinite(values[0]).all()
+    ):
+        return ids, label_of, values
+    return None
 
 
 def _first_row_error(path, rows, linenos, ncols):

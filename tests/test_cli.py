@@ -538,6 +538,14 @@ class TestConfig:
         assert main(["--config", str(cfg), "fit", "--out", str(tmp_path)]) == EXIT_INVALID
         assert capsys.readouterr().err == f"error: {cfg}:1: expected key=value, got 'delta 0.01'\n"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # an editor's "UTF-8 with BOM" starts the file with U+FEFF
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeffnum_pieces=2\n", encoding="utf-8")
+        assert cfg.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert main(["--config", str(cfg), "fit", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(read_csv(tmp_path / "model.csv")) == 2
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")

@@ -19,6 +19,7 @@ from deltaproc import (
     ingest_trajectories,
     write_trajectories,
 )
+from deltaproc import fitting
 from deltaproc.fitting import NEGATIVE, POSITIVE, _parse_header
 
 
@@ -345,7 +346,10 @@ def reference_ingest(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        fields = [f.strip() for f in next(csv.reader([line]))]
+        try:
+            fields = [f.strip() for f in next(csv.reader([line]))]
+        except csv.Error as exc:
+            raise TrajectoryParseError(f"{path}:{lineno}: {exc}", line=lineno) from None
         if header is None:
             header, header_line = fields, lineno
             continue
@@ -520,6 +524,57 @@ class TestIngest:
             ingest_trajectories(path)
         assert info.value.line == line
         assert str(info.value).startswith(f"{path}:{line}: field larger than field limit")
+
+    # the numpy pass must agree with the csv module or leave the file to it
+    @pytest.mark.parametrize(
+        "number",
+        ["1_000", "\u0661\u0662", "\xa02.5\xa0", '"1.5"', "2.5\x1f"],
+        ids=["underscore", "arabic-indic-digits", "nbsp-padded", "quoted", "unit-separator"],
+    )
+    def test_number_read_as_float_reads_it(self, tmp_path, number):
+        path = tmp_path / "number.csv"
+        lines = BASE_LINES + [f"a,positive,4.0,{number},0.5"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert_same_records(ingest_trajectories(path), reference_ingest(path))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ['"a', 'b",positive,4.0,2.0,0.5'],
+            ["x" * 200_000 + ",positive,4.0,2.0,0.5"],
+            ["a,positive,4.0,2.0,0.5,"],
+            ["a,positive,4.0,2\x005,0.5"],
+        ],
+        ids=["quote-joins-two-lines", "long-id", "extra-column", "nul-in-number"],
+    )
+    def test_row_the_numpy_pass_would_misread(self, tmp_path, rows):
+        path = tmp_path / "edge.csv"
+        path.write_text("\n".join(BASE_LINES + rows) + "\n", encoding="utf-8")
+        assert assert_same_error(path).line == len(BASE_LINES) + 1
+
+    def test_written_file_skips_the_csv_module(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        records = [
+            TrajectoryRecord(
+                id=traj_id,
+                label=label,
+                t=np.sort(rng.uniform(-1.0, 1.0, 50)),
+                x=rng.normal(size=(50, 2)),
+                u=rng.normal(size=(50, 1)),
+                dx=rng.normal(size=(50, 2)),
+            )
+            for traj_id, label in [("c,d", POSITIVE), ('say "hi"', NEGATIVE)]
+        ]
+        path = tmp_path / "written.csv"
+        write_trajectories(path, records)
+        header_rows = fitting._rows
+
+        def header_only(path, lines, linenos):
+            assert linenos == [1], "data rows read by the csv module"
+            return header_rows(path, lines, linenos)
+
+        monkeypatch.setattr(fitting, "_rows", header_only)
+        assert_same_records(ingest_trajectories(path), records)
 
     @pytest.mark.parametrize("second", [None, *BAD_ROWS])
     @pytest.mark.parametrize("first", list(BAD_ROWS))
