@@ -71,7 +71,12 @@ SETTINGS = {
 
 def read_config(path):
     cfg = {}
-    text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")  # drops a byte-order mark
+    except UnicodeDecodeError as exc:
+        lineno = len((exc.object[: exc.start].decode() + "$").splitlines())
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

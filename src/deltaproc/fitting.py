@@ -3,15 +3,16 @@
 Scalar subintervals use the exact two-endpoint solve (the construction used
 to derive the worked benchmark coefficients); multivariate subintervals take
 least squares over their samples, or over the n + r + 1 samples nearest
-them when they hold fewer than n + r.  Records labeled negative are excluded
-from fitting by default.
+them when they hold fewer than n + r.  Only records labeled positive are
+fitted.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -58,7 +59,10 @@ def estimate_derivatives(record: TrajectoryRecord) -> TrajectoryRecord:
     if record.dx is not None:
         return record
     if record.t.size < 3:
-        raise ValueError("derivative estimation needs at least 3 samples")
+        raise ValueError(
+            f"record {record.id!r} has {record.t.size} samples: estimating its derivatives "
+            f"needs a third sample, or dx columns in the data"
+        )
     return replace(record, dx=np.gradient(record.x, record.t, axis=0, edge_order=2))
 
 
@@ -86,11 +90,7 @@ def fit_piece_general(xs, us, dxs):
     return coeffs[:n].T, coeffs[n:].T
 
 
-def fit_model(
-    record: TrajectoryRecord,
-    partition: TimePartition,
-    allow_negative=False,
-) -> PiecewiseLinearModel:
+def fit_model(record: TrajectoryRecord, partition: TimePartition) -> PiecewiseLinearModel:
     """The (A, B) of every subinterval, anchored at its right-knot data state.
 
     Endpoint states/derivatives/controls are linearly interpolated from the
@@ -98,11 +98,11 @@ def fit_model(
     two-endpoint solve, on all subintervals at once; the subintervals it
     leaves, and every n >= 2 subinterval, take least squares over their
     samples.  A subinterval that cannot be fitted raises with its piece
-    index in front of the message.
+    index in front of the message, and a record labeled negative raises.
     """
-    if record.label == NEGATIVE and not allow_negative:
+    if record.label == NEGATIVE:
         raise ValueError(
-            f"record {record.id!r} is labeled negative; pass allow_negative=True to fit it"
+            f"record {record.id!r} is labeled negative; only positive records are fitted"
         )
     tol = 1e-9 * max(1.0, abs(partition.t1 - partition.t0))
     uncovered = [
@@ -192,34 +192,35 @@ def ingest_trajectories(path):
     Header: ``traj_id,label,t,x0..x{n-1},u0..u{r-1}[,dx0..dx{n-1}]``.  Each
     physical line is one row, read as CSV on its own with every field
     stripped; blank lines and lines starting with ``#`` are skipped.  Numbers
-    are read as by ``float``.  The rows are parsed in one numpy pass; a file
-    that pass refuses is read again by the csv module, with identical results.
-    Records come in the order their ``traj_id`` first appears, each sorted by
-    ``t``.  The first malformed row (a non-finite ``t`` included), else the
-    first row that repeats an earlier sample time of its record, else the
-    first row of a record with a single row, raises
-    :class:`TrajectoryParseError` with its line number.
+    are read as by ``float``.  The rows are parsed in one numpy pass; the rows
+    of a file that pass refuses (``1_000``, a malformed row) are parsed line
+    by line with the csv module instead, to the same records.  Records come
+    in the order their ``traj_id`` first appears, each sorted by ``t``.  A
+    byte that is not UTF-8, else a line the csv module rejects, else the
+    first malformed row (a non-finite ``t`` included), else the first row
+    that repeats an earlier sample time of its record, else the first row
+    of a record with a single row, raises :class:`TrajectoryParseError` with
+    its line number.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-        raw = fh.readlines()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
+            raw = fh.readlines()
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+        raise
     keep = [s[:1] not in ("", "#") for s in map(str.lstrip, raw)]
     lines = list(compress(raw, keep))
     linenos = list(compress(count(1), keep))
     if not lines:
         raise TrajectoryParseError(f"{path}: no header found", line=None)
-    header = [f.strip() for f in _rows(path, lines[:1], linenos[:1])[0]]
+    header = _fields(path, lines[0], linenos[0])
     n, r, has_dx = _parse_header(header, linenos[0], path)
     ncols = 3 + n + r + (n if has_dx else 0)
     lines, linenos = lines[1:], linenos[1:]
     if not lines:
         return []
     columns = _checked(_table(lines, ncols))
-    if columns is None:
-        rows = _rows(path, lines, linenos)
-        columns = _checked(_columns(rows, ncols))
-        if columns is None:
-            raise _first_row_error(path, rows, linenos, ncols)
-    ids, label_of, values = columns
+    ids, label_of, values = columns or _parse_rows(path, lines, linenos, ncols)
     # rows grouped by id in first-appearance order, each group sorted by t;
     # lexsort is stable, so rows with equal keys keep their file order
     code_of = {traj_id: k for k, traj_id in enumerate(label_of)}
@@ -258,28 +259,6 @@ def ingest_trajectories(path):
     return records
 
 
-def _rows(path, lines, linenos):
-    """The CSV fields of each line, every line read on its own.
-
-    A line that the csv module rejects (such as a field over its size limit) raises
-    :class:`TrajectoryParseError` with its line number.
-    """
-    try:
-        rows = list(csv.reader(lines))
-    except csv.Error:
-        rows = []
-    if len(rows) == len(lines):
-        return rows
-    # a quote left open at the end of a line ran on into the next lines
-    rows = []
-    for lineno, line in zip(linenos, lines):
-        try:
-            rows.append(next(csv.reader([line])))
-        except csv.Error as exc:
-            raise TrajectoryParseError(f"{path}:{lineno}: {exc}", line=lineno) from None
-    return rows
-
-
 def _table(lines, ncols):
     """Stripped ids and labels and a (ncols - 2, rows) array of the numbers.
 
@@ -297,22 +276,6 @@ def _table(lines, ncols):
     if len(table) < len(lines):
         return None
     return [*map(str.strip, table["id"])], [*map(str.strip, table["label"])], table["v"].T
-
-
-def _columns(rows, ncols):
-    """The same columns from the csv module's rows, each field stripped.
-
-    None when a row has the wrong column count or a number that ``float``
-    refuses; :func:`_first_row_error` then names it.
-    """
-    if set(map(len, rows)) != {ncols}:
-        return None
-    fields = [f.strip() for f in chain.from_iterable(rows)]
-    try:
-        values = np.array([list(map(float, fields[j::ncols])) for j in range(2, ncols)])
-    except ValueError:
-        return None
-    return fields[0::ncols], fields[1::ncols], values
 
 
 def _checked(columns):
@@ -334,36 +297,65 @@ def _checked(columns):
     return None
 
 
-def _first_row_error(path, rows, linenos, ncols):
-    """The TrajectoryParseError of the first malformed row, read row by row."""
-    first_label = {}
+def _parse_rows(path, lines, linenos, ncols):
+    """What :func:`_checked` returns, for the rows that the numpy pass refuses.
+
+    The csv module reads each line on its own, and every line is split
+    before any row is checked: a line that it rejects (such as a field over
+    its size limit) is named first.  Then the first malformed row in file
+    order raises :class:`TrajectoryParseError` with its line number.
+    """
+    rows = [_fields(path, line, lineno) for line, lineno in zip(lines, linenos)]
+    label_of, numbers = {}, []
     for lineno, fields in zip(linenos, rows):
-        fields = [f.strip() for f in fields]
         where = f"{path}:{lineno}"
         if len(fields) != ncols:
-            return TrajectoryParseError(
+            raise TrajectoryParseError(
                 f"{where}: expected {ncols} columns, got {len(fields)}", line=lineno
             )
         traj_id, label = fields[0], fields[1]
         if label not in (POSITIVE, NEGATIVE):
-            return TrajectoryParseError(
+            raise TrajectoryParseError(
                 f"{where}: label must be positive/negative, got {label!r}", line=lineno
             )
         try:
-            t = float(fields[2])
-            for v in fields[3:]:
-                float(v)
+            row = [*map(float, fields[2:])]
         except ValueError as exc:
-            return TrajectoryParseError(f"{where}: {exc}", line=lineno)
-        if not np.isfinite(t):
-            return TrajectoryParseError(
-                f"{where}: id {traj_id!r} has non-finite sample time {t!r}", line=lineno
+            raise TrajectoryParseError(f"{where}: {exc}", line=lineno) from None
+        if not np.isfinite(row[0]):
+            raise TrajectoryParseError(
+                f"{where}: id {traj_id!r} has non-finite sample time {row[0]!r}", line=lineno
             )
-        if first_label.setdefault(traj_id, label) != label:
-            return TrajectoryParseError(
+        if label_of.setdefault(traj_id, label) != label:
+            raise TrajectoryParseError(
                 f"{where}: id {traj_id!r} has conflicting labels", line=lineno
             )
-    return None
+        numbers.append(row)
+    return [fields[0] for fields in rows], label_of, np.array(numbers).T
+
+
+def _fields(path, line, lineno):
+    """The stripped CSV fields of one line; one the csv module rejects raises."""
+    try:
+        return [f.strip() for f in next(csv.reader([line]))]
+    except csv.Error as exc:
+        raise TrajectoryParseError(f"{path}:{lineno}: {exc}", line=lineno) from None
+
+
+def _raise_not_utf8(path):
+    """Raise the TrajectoryParseError that names the first line of ``path`` that is not UTF-8.
+
+    The file is decoded whole, since a decoder that reads it in chunks counts
+    positions from the start of its chunk.  Lines end where ``readlines``
+    ends them: at a line feed, a carriage return or both.
+    """
+    try:
+        Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        lineno = len((exc.object[: exc.start] + b"$").splitlines())
+        raise TrajectoryParseError(
+            f"{path}:{lineno}: byte {exc.object[exc.start]:#04x} is not UTF-8", line=lineno
+        ) from None
 
 
 def _parse_header(header, lineno, path):

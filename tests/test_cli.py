@@ -181,6 +181,29 @@ class TestFit:
         assert code == EXIT_INVALID
         assert f"{data}:3: field larger than field limit" in capsys.readouterr().err
 
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(
+            b"traj_id,label,t,x0,u0\n"
+            b"a,positive,0.0,0.0,0.5\n"
+            b"a\xff,positive,1.0,0.5,0.5\n"
+            b"a,positive,2.0,1.0,0.5\n"
+        )
+        code = main(["solve", "--problem", str(data), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {data}:3: byte 0xff is not UTF-8\n"
+
+    def test_two_rows_without_derivatives_name_the_record(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        data.write_text(
+            "traj_id,label,t,x0,u0\nshort,positive,0.0,0.0,0.5\nshort,positive,1.0,0.5,0.5\n"
+        )
+        code = main(["fit", "--num-pieces", "1", "--problem", str(data), "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: record 'short' has 2 samples: ")
+        assert "a third sample, or dx columns" in err
+
     @pytest.mark.parametrize("command", ["fit", "solve"])
     @pytest.mark.parametrize("nan_at, k", [(0.35, 0), (1.0, 1)])
     def test_non_finite_two_state_sample_names_its_piece(self, tmp_path, capsys, command, nan_at, k):
@@ -545,6 +568,12 @@ class TestConfig:
         assert cfg.read_bytes()[:3] == b"\xef\xbb\xbf"
         assert main(["--config", str(cfg), "fit", "--out", str(tmp_path)]) == EXIT_OK
         assert len(read_csv(tmp_path / "model.csv")) == 2
+
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf# r\xc3\xa9glages\r\nnum_pieces=2\r\nproblem=caf\xe9.csv\r\n")
+        assert main(["--config", str(cfg), "fit", "--out", str(tmp_path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {cfg}:3: byte 0xe9 is not UTF-8\n"
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
