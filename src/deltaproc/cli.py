@@ -28,7 +28,7 @@ from .errors import (
     InfeasibleTransferError,
     ShootingError,
 )
-from .fitting import POSITIVE, fit_model, ingest_trajectories
+from .fitting import POSITIVE, fit_model, ingest_trajectories, read_lines
 from .procedure import (
     DeltaConfig,
     run_delta,
@@ -70,17 +70,14 @@ SETTINGS = {
 
 
 def read_config(path):
+    """The settings of a flat ``key=value`` file, each parsed to its type.
+
+    Lines end and are skipped as a trajectory CSV's are (:func:`read_lines`).
+    A bad line raises ``ValueError`` naming the file and the line.
+    """
     cfg = {}
-    try:
-        text = Path(path).read_bytes().decode("utf-8-sig")  # drops a byte-order mark
-    except UnicodeDecodeError as exc:
-        lineno = len((exc.object[: exc.start].decode() + "$").splitlines())
-        byte = exc.object[exc.start]
-        raise ValueError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for line, lineno in zip(*read_lines(path)):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")

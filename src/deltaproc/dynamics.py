@@ -87,10 +87,6 @@ class ControlBounds:
     def r(self):
         return self.lower.size
 
-    def contains(self, u, tol=1e-12):
-        u = as_vector(u, "control")
-        return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
-
     def vertices(self):
         """All 2^r corner controls of the box."""
         r = self.r
@@ -264,9 +260,10 @@ class ControlSchedule:
 class Trajectory:
     """Sampled time series: times, states, controls and optional derivatives.
 
-    States, controls and derivatives are stored as (samples, dim) arrays; a
-    (dim, samples) input is transposed.  Values between samples are
-    interpolated linearly, per component.
+    States, controls and derivatives are (samples, dim) arrays, one row per
+    sample time; a 1-D input is read as one column.  Any other shape raises
+    :class:`DimensionMismatchError` naming the field.  Values between samples
+    are interpolated linearly, per component.
     """
 
     t: np.ndarray          # (num_samples,)
@@ -281,9 +278,13 @@ class Trajectory:
             values = getattr(self, name)
             if values is None:
                 continue
-            values = np.atleast_2d(np.asarray(values, dtype=float))
-            if values.shape[0] != t.size:
-                values = values.T
+            values = np.asarray(values, dtype=float)
+            if values.ndim < 2:
+                values = values.reshape(-1, 1)
+            if values.ndim != 2 or values.shape[0] != t.size:
+                raise DimensionMismatchError(
+                    f"{name} needs one row per sample time ({t.size}), got shape {values.shape}"
+                )
             object.__setattr__(self, name, values)
 
     @property
@@ -322,6 +323,24 @@ class Trajectory:
         return np.stack([np.interp(t, self.t, column) for column in values.T], axis=-1)
 
 
+def check_state(x, of, name="state"):
+    """``x`` by :func:`as_vector`, checked against the state width of a piece or model ``of``."""
+    x = as_vector(x, name)
+    if x.size != of.n:
+        raise DimensionMismatchError(f"{name} dim {x.size} != {_kind(of)} dim {of.n}")
+    return x
+
+
+def check_input(width, of, name):
+    """Raise :class:`DimensionMismatchError` unless ``width`` is the control width of ``of``."""
+    if width != of.r:
+        raise DimensionMismatchError(f"{name} dim {width} != {_kind(of)} input dim {of.r}")
+
+
+def _kind(of):
+    return "piece" if isinstance(of, LinearPiece) else "model"
+
+
 def evaluate_rhs(piece: LinearPiece, x, u) -> np.ndarray:
     """Time derivative of the piece model at (x, u), original coordinates.
 
@@ -329,12 +348,9 @@ def evaluate_rhs(piece: LinearPiece, x, u) -> np.ndarray:
     dx/dt), so the returned value is A x + B u: the form the fit conditions
     interpolate.  This is linear in (x - anchor) and in u for a fixed anchor.
     """
-    x = as_vector(x, "state")
+    x = check_state(x, piece)
     u = as_vector(u, "control")
-    if x.size != piece.n:
-        raise DimensionMismatchError(f"state dim {x.size} != piece dim {piece.n}")
-    if u.size != piece.r:
-        raise DimensionMismatchError(f"control dim {u.size} != piece input dim {piece.r}")
+    check_input(u.size, piece, "control")
     return piece.A @ x + piece.B @ u
 
 
@@ -426,12 +442,9 @@ def simulate_model(model: PiecewiseLinearModel, x0, schedule: ControlSchedule) -
     """
     if len(schedule.segments) != model.partition.num_pieces:
         raise ValueError("schedule must have one segment per model piece")
-    x = as_vector(x0, "x0")
-    if x.size != model.n:
-        raise DimensionMismatchError(f"state dim {x.size} != model dim {model.n}")
+    x = check_state(x0, model, "x0")
     for (_, _, u) in schedule.segments:
-        if u.size != model.r:
-            raise DimensionMismatchError(f"control dim {u.size} != model input dim {model.r}")
+        check_input(u.size, model, "control")
     times, states, controls = [schedule.t_start], [x], [schedule.segments[0][2]]
     # an overflow shows as a DivergenceError, not as a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -190,27 +190,18 @@ def ingest_trajectories(path):
     """Parse the trajectory CSV format into a list of TrajectoryRecord.
 
     Header: ``traj_id,label,t,x0..x{n-1},u0..u{r-1}[,dx0..dx{n-1}]``.  Each
-    physical line is one row, read as CSV on its own with every field
-    stripped; blank lines and lines starting with ``#`` are skipped.  Numbers
-    are read as by ``float``.  The rows are parsed in one numpy pass; the rows
-    of a file that pass refuses (``1_000``, a malformed row) are parsed line
-    by line with the csv module instead, to the same records.  Records come
-    in the order their ``traj_id`` first appears, each sorted by ``t``.  A
-    byte that is not UTF-8, else a line the csv module rejects, else the
-    first malformed row (a non-finite ``t`` included), else the first row
-    that repeats an earlier sample time of its record, else the first row
-    of a record with a single row, raises :class:`TrajectoryParseError` with
-    its line number.
+    line that :func:`read_lines` keeps is one row, read as CSV on its own with
+    every field stripped.  Numbers are read as by ``float``.  The rows are
+    parsed in one numpy pass; the rows of a file that pass refuses (``1_000``,
+    a malformed row) are parsed line by line with the csv module instead, to
+    the same records.  Records come in the order their ``traj_id`` first
+    appears, each sorted by ``t``.  A byte that is not UTF-8, else a line the
+    csv module rejects, else the first malformed row (a non-finite ``t``
+    included), else the first row that repeats an earlier sample time of its
+    record, else the first row of a record with a single row, raises
+    :class:`TrajectoryParseError` with its line number.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-            raw = fh.readlines()
-    except UnicodeDecodeError:
-        _raise_not_utf8(path)
-        raise
-    keep = [s[:1] not in ("", "#") for s in map(str.lstrip, raw)]
-    lines = list(compress(raw, keep))
-    linenos = list(compress(count(1), keep))
+    lines, linenos = read_lines(path)
     if not lines:
         raise TrajectoryParseError(f"{path}: no header found", line=None)
     header = _fields(path, lines[0], linenos[0])
@@ -334,6 +325,23 @@ def _parse_rows(path, lines, linenos, ncols):
     return [fields[0] for fields in rows], label_of, np.array(numbers).T
 
 
+def read_lines(path):
+    """The lines of a UTF-8 text file that are neither blank nor ``#`` comments, and their numbers.
+
+    A byte-order mark is dropped, and lines end where ``readlines`` ends them:
+    at a line feed, a carriage return or both.  A byte that is not UTF-8
+    raises :class:`TrajectoryParseError` naming its line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
+            raw = fh.readlines()
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+        raise
+    keep = [s[:1] not in ("", "#") for s in map(str.lstrip, raw)]
+    return list(compress(raw, keep)), list(compress(count(1), keep))
+
+
 def _fields(path, line, lineno):
     """The stripped CSV fields of one line; one the csv module rejects raises."""
     try:
@@ -377,9 +385,7 @@ def _parse_header(header, lineno, path):
         raise TrajectoryParseError(
             f"{path}:{lineno}: {len(dx_cols)} dx columns for {n} states", line=lineno
         )
-    expected = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(r)]
-    if dx_cols:
-        expected += [f"dx{i}" for i in range(n)]
+    expected = _value_columns(n, r, bool(dx_cols))
     if rest != expected:
         raise TrajectoryParseError(
             f"{path}:{lineno}: columns {rest} do not match expected {expected}",
@@ -388,19 +394,19 @@ def _parse_header(header, lineno, path):
     return n, r, bool(dx_cols)
 
 
+def _value_columns(n, r, has_dx):
+    """The names of the columns after ``t``: x0..x{n-1}, u0..u{r-1} and, with dx, dx0..dx{n-1}."""
+    names = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(r)]
+    return names + [f"dx{i}" for i in range(n)] if has_dx else names
+
+
 def write_trajectories(path, records):
     """Inverse of :func:`ingest_trajectories` (always writes the dx columns)."""
     recs = [estimate_derivatives(rec) if rec.dx is None else rec for rec in records]
     n, r = recs[0].n, recs[0].r
-    header = (
-        ["traj_id", "label", "t"]
-        + [f"x{i}" for i in range(n)]
-        + [f"u{i}" for i in range(r)]
-        + [f"dx{i}" for i in range(n)]
-    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["traj_id", "label", "t", *_value_columns(n, r, True)])
         for rec in recs:
             columns = (rec.t, *rec.x.T, *rec.u.T, *rec.dx.T)
             writer.writerows(

@@ -17,13 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import BLOWUP_LIMIT, ControlBounds, ControlSchedule, LinearPiece, as_vector
-from .dynamics import affine_transition, expm
-from .errors import (
-    DimensionMismatchError,
-    InfeasibleTransferError,
-    ShootingError,
-    TrivialCostateError,
-)
+from .dynamics import affine_transition, check_input, check_state, expm
+from .errors import InfeasibleTransferError, ShootingError, TrivialCostateError
 
 TERMINAL_TOL = 1e-8
 ZERO_STATE_TOL = 1e-12
@@ -229,9 +224,7 @@ def adjoint_solve(piece: LinearPiece, psi0):
     Scalar pieces use the explicit exponential.  Evaluation is analytic and
     valid for any t.
     """
-    psi0 = as_vector(psi0, "psi0")
-    if psi0.size != piece.n:
-        raise DimensionMismatchError(f"psi0 dim {psi0.size} != piece dim {piece.n}")
+    psi0 = check_state(psi0, piece, "psi0")
     if np.allclose(psi0, 0.0):
         raise TrivialCostateError("psi0 = 0 gives only the trivial costate")
     t_start = piece.t_start
@@ -257,11 +250,8 @@ def extremal_control(piece: LinearPiece, psi, bounds: ControlBounds):
     Ties (psi^T B component exactly zero) break to the upper bound, matching
     the vertex-only control convention.
     """
-    psi = as_vector(psi, "psi")
-    if psi.size != piece.n:
-        raise DimensionMismatchError(f"psi dim {psi.size} != piece dim {piece.n}")
-    if bounds.r != piece.r:
-        raise DimensionMismatchError(f"bounds dim {bounds.r} != piece input dim {piece.r}")
+    psi = check_state(psi, piece, "psi")
+    check_input(bounds.r, piece, "bounds")
     gains = piece.B.T @ psi  # (r,)
     return np.where(gains < 0.0, bounds.lower, bounds.upper).astype(float)
 
@@ -273,13 +263,10 @@ def hamiltonian(piece: LinearPiece, psi, x, u):
     piece was fitted with; this is the quantity that stays constant along an
     extremal of an autonomous piece.
     """
-    psi = as_vector(psi, "psi")
-    x = as_vector(x, "state")
+    psi = check_state(psi, piece, "psi")
+    x = check_state(x, piece)
     u = as_vector(u, "control")
-    if psi.size != piece.n or x.size != piece.n:
-        raise DimensionMismatchError("psi/x dimension does not match the piece")
-    if u.size != piece.r:
-        raise DimensionMismatchError("control dimension does not match the piece")
+    check_input(u.size, piece, "control")
     return float(psi @ (piece.A @ x + piece.B @ u))
 
 
@@ -304,11 +291,8 @@ def min_time_transfer(
     :class:`ShootingError` names the best uncertified one when none is
     certified.
     """
-    x_from = as_vector(x_from, "x_from")
-    if x_from.size != piece.n:
-        raise DimensionMismatchError(f"x_from dim {x_from.size} != piece dim {piece.n}")
-    if bounds.r != piece.r:
-        raise DimensionMismatchError(f"bounds dim {bounds.r} != piece input dim {piece.r}")
+    x_from = check_state(x_from, piece, "x_from")
+    check_input(bounds.r, piece, "bounds")
     if np.linalg.norm(x_from - piece.anchor) <= ZERO_STATE_TOL:
         return PieceSolution(
             u_schedule=None, transfer_time=0.0, hamiltonian=0.0, psi0=AdjointState(np.eye(piece.n)[0])

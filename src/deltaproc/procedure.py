@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ControlBounds, ControlSchedule, PiecewiseLinearModel, TimePartition
-from .errors import DeltaProcError, DimensionMismatchError
+from .dynamics import check_input
+from .errors import DeltaProcError
 from .fitting import TrajectoryRecord, fit_model
 from .pontryagin import AdjointState, PieceSolution, min_time_transfer, scalar_transfers
 
@@ -151,8 +152,7 @@ def solve_partition(
     model is solved in one closed-form pass over all its pieces.
     """
     model = fit_model(record, partition)
-    if bounds.r != model.r:
-        raise DimensionMismatchError(f"bounds dim {bounds.r} != model input dim {model.r}")
+    check_input(bounds.r, model, "bounds")
     # piece k starts at the record's first state (k = 0) or at anchor k - 1
     x0 = np.vstack([record.interp_state(partition.t0), model.anchors[:-1]])
     if model.n == 1:

@@ -28,11 +28,12 @@ from .dynamics import (
     BLOWUP_LIMIT,
     ControlBounds,
     PiecewiseLinearModel,
-    as_vector,
+    check_input,
+    check_state,
     check_step,
     rk4_step,
 )
-from .errors import DimensionMismatchError, GenerationError, InfeasibilityReport
+from .errors import GenerationError, InfeasibilityReport
 from .fitting import POSITIVE, TrajectoryRecord
 
 CHECKPOINT_TOL = 1e-10
@@ -346,11 +347,8 @@ def brute_force_min_time(
             raise ValueError("x_start is required for a model search")
         if target.n != 1:
             raise NotImplementedError("the vertex search is defined for scalar models")
-        if target.r != bounds.r:
-            raise DimensionMismatchError(f"control dim {bounds.r} != model input dim {target.r}")
-        x_start = as_vector(x_start, "x_start")
-        if x_start.size != 1:
-            raise DimensionMismatchError(f"x_start dim {x_start.size} != model dim 1")
+        check_input(bounds.r, target, "bounds")
+        x_start = check_state(x_start, target, "x_start")
         vertices = np.array(bounds.vertices())
         x_from = float(x_start[0])
         total = 0.0

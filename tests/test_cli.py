@@ -36,6 +36,7 @@ from deltaproc.cli import (
     build_parser,
     main,
     parse_args,
+    read_config,
 )
 from deltaproc.reference import PASSAGE_STEP
 
@@ -572,6 +573,25 @@ class TestConfig:
     def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"\xef\xbb\xbf# r\xc3\xa9glages\r\nnum_pieces=2\r\nproblem=caf\xe9.csv\r\n")
+        assert main(["--config", str(cfg), "fit", "--out", str(tmp_path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {cfg}:3: byte 0xe9 is not UTF-8\n"
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\u0085", "\u2028"])
+    def test_comment_holding_a_line_separator_of_str_splitlines(self, tmp_path, separator):
+        # lines end as in a trajectory CSV: only at a line feed or a carriage return
+        settings = "num_pieces = 4\nproblem=example1\n"
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("# page one page two\n" + settings, encoding="utf-8")
+        marked = tmp_path / "marked.cfg"
+        marked.write_text(f"# page one{separator}page two\n" + settings, encoding="utf-8")
+        assert read_config(marked) == read_config(plain) == {"num_pieces": 4, "problem": "example1"}
+        assert main(["--config", str(marked), "fit", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(read_csv(tmp_path / "model.csv")) == 4
+
+    def test_bad_byte_after_a_next_line_comment_names_its_line(self, tmp_path, capsys):
+        # U+0085 (NEXT LINE) in a comment does not end a line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# one\u0085two\nnum_pieces=2\n".encode() + b"problem=caf\xe9.csv\n")
         assert main(["--config", str(cfg), "fit", "--out", str(tmp_path)]) == EXIT_INVALID
         assert capsys.readouterr().err == f"error: {cfg}:3: byte 0xe9 is not UTF-8\n"
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -15,9 +16,16 @@ from deltaproc import (
     PiecewiseLinearModel,
     TimePartition,
     Trajectory,
+    TrajectoryRecord,
+    adjoint_solve,
+    brute_force_min_time,
     evaluate_rhs,
+    extremal_control,
+    hamiltonian,
     integrate,
+    min_time_transfer,
     simulate_model,
+    solve_partition,
 )
 from deltaproc import dynamics
 
@@ -387,11 +395,22 @@ class TestTrajectory:
             assert one_by_one.shape == (times.size, dim)
             np.testing.assert_array_equal(interp(times), one_by_one, strict=True)
 
-    def test_dim_by_samples_input_transposed(self):
+    @pytest.mark.parametrize("field", ["x", "u", "dx"])
+    def test_dim_by_samples_input_rejected(self, field):
         traj = self.random_trajectory()
-        flipped = Trajectory(list(traj.t), traj.x.T, traj.u.T, dx=traj.dx.T)
-        for name in ("t", "x", "u", "dx"):
-            np.testing.assert_array_equal(getattr(flipped, name), getattr(traj, name), strict=True)
+        arrays = {"x": traj.x, "u": traj.u, "dx": traj.dx}
+        arrays[field] = arrays[field].T
+        message = f"{field} needs one row per sample time (40), got shape {arrays[field].shape}"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            Trajectory(list(traj.t), arrays["x"], arrays["u"], dx=arrays["dx"])
+
+    def test_two_samples_of_two_states_are_rows(self):
+        # a square array is one row per sample, not a guess from its shape
+        traj = Trajectory([0.0, 1.0], [[1.0, 2.0], [10.0, 20.0]], [[0.0], [0.0]])
+        np.testing.assert_array_equal(traj.x, [[1.0, 2.0], [10.0, 20.0]])
+        np.testing.assert_array_equal(traj.interp_state(1.0), [10.0, 20.0])
+        with pytest.raises(DimensionMismatchError, match=r"^u needs one row per sample time \(2\)"):
+            Trajectory([0.0, 1.0], [[1.0, 2.0], [10.0, 20.0]], [[0.0, 0.0]])
 
     def test_no_derivatives(self):
         traj = Trajectory([0.0, 1.0], [0.0, 1.0], [1.0, 1.0])
@@ -405,8 +424,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ControlBounds(lower=[1.0], upper=[1.0])
         b = ControlBounds(lower=[-1.0, 0.0], upper=[1.0, 2.0])
-        assert b.contains([0.0, 1.0])
-        assert not b.contains([0.0, 3.0])
         assert len(b.vertices()) == 4
 
     def test_partition_validation(self):
@@ -429,3 +446,106 @@ class TestDomainTypes:
             LinearPiece(A=[[1.0]], B=[[1.0]], t_start=1.0, t_end=0.5, anchor=[0.0])
         with pytest.raises(DimensionMismatchError):
             LinearPiece(A=[[1.0]], B=[[1.0]], t_start=0.0, t_end=1.0, anchor=[0.0, 1.0])
+
+
+SCALAR_PIECE = LinearPiece(A=[[0.5]], B=[[0.5]], t_start=0.0, t_end=1.0, anchor=[0.5])
+SCALAR_MODEL = PiecewiseLinearModel(TimePartition([0.0, 1.0]), [[[0.5]]], [[[0.5]]], [[0.5]])
+PLANE_MODEL = PiecewiseLinearModel(
+    TimePartition([0.0, 1.0]), [[[0.0, 1.0], [0.0, 0.0]]], [[[0.0], [1.0]]], [[0.0, 0.0]]
+)
+BOX_1 = ControlBounds(lower=[-1.0], upper=[1.0])
+BOX_2 = ControlBounds(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+
+
+def scalar_record():
+    t = np.linspace(0.0, 1.0, 11)
+    return TrajectoryRecord(id="a", label="positive", t=t, x=0.8 * t, u=np.full(11, 0.5))
+
+
+class TestWidthChecks:
+    """Every public entry point names a wrong width in one format."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda: evaluate_rhs(SCALAR_PIECE, [0.0, 0.0], [1.0]),
+                "state dim 2 != piece dim 1",
+                id="evaluate_rhs-state",
+            ),
+            pytest.param(
+                lambda: evaluate_rhs(SCALAR_PIECE, [0.0], [1.0, 1.0]),
+                "control dim 2 != piece input dim 1",
+                id="evaluate_rhs-control",
+            ),
+            pytest.param(
+                lambda: simulate_model(PLANE_MODEL, [0.0], ControlSchedule.constant([1.0], 0, 1)),
+                "x0 dim 1 != model dim 2",
+                id="simulate_model-x0",
+            ),
+            pytest.param(
+                lambda: simulate_model(SCALAR_MODEL, [0.0], ControlSchedule.constant([1, 1], 0, 1)),
+                "control dim 2 != model input dim 1",
+                id="simulate_model-control",
+            ),
+            pytest.param(
+                lambda: adjoint_solve(SCALAR_PIECE, [1.0, 0.0]),
+                "psi0 dim 2 != piece dim 1",
+                id="adjoint_solve-psi0",
+            ),
+            pytest.param(
+                lambda: extremal_control(SCALAR_PIECE, [1.0, 0.0], BOX_1),
+                "psi dim 2 != piece dim 1",
+                id="extremal_control-psi",
+            ),
+            pytest.param(
+                lambda: extremal_control(SCALAR_PIECE, [1.0], BOX_2),
+                "bounds dim 2 != piece input dim 1",
+                id="extremal_control-bounds",
+            ),
+            pytest.param(
+                lambda: hamiltonian(SCALAR_PIECE, [1.0, 0.0], [0.0], [1.0]),
+                "psi dim 2 != piece dim 1",
+                id="hamiltonian-psi",
+            ),
+            pytest.param(
+                lambda: hamiltonian(SCALAR_PIECE, [1.0], [0.0, 0.0], [1.0]),
+                "state dim 2 != piece dim 1",
+                id="hamiltonian-state",
+            ),
+            pytest.param(
+                lambda: hamiltonian(SCALAR_PIECE, [1.0], [0.0], [1.0, 1.0]),
+                "control dim 2 != piece input dim 1",
+                id="hamiltonian-control",
+            ),
+            pytest.param(
+                lambda: min_time_transfer(SCALAR_PIECE, [0.0, 0.0], BOX_1),
+                "x_from dim 2 != piece dim 1",
+                id="min_time_transfer-x_from",
+            ),
+            pytest.param(
+                lambda: min_time_transfer(SCALAR_PIECE, [0.0], BOX_2),
+                "bounds dim 2 != piece input dim 1",
+                id="min_time_transfer-bounds",
+            ),
+            pytest.param(
+                lambda: solve_partition(scalar_record(), TimePartition([0.0, 0.5, 1.0]), BOX_2),
+                "bounds dim 2 != model input dim 1",
+                id="solve_partition-bounds",
+            ),
+            pytest.param(
+                lambda: brute_force_min_time(SCALAR_MODEL, BOX_2, x_start=[0.0]),
+                "bounds dim 2 != model input dim 1",
+                id="brute_force_min_time-bounds",
+            ),
+            pytest.param(
+                lambda: brute_force_min_time(SCALAR_MODEL, BOX_1, x_start=[0.0, 0.0]),
+                "x_start dim 2 != model dim 1",
+                id="brute_force_min_time-x_start",
+            ),
+        ],
+    )
+    def test_wrong_width_named(self, call, message):
+        assert re.fullmatch(r"\w+ dim \d+ != (piece|model) (input )?dim \d+", message)
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            call()

@@ -242,10 +242,10 @@ class TestAffineFirstPassage:
 
     def test_dimension_mismatch(self):
         model = scalar_model((0.0, 1.0, 1.0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"^x_start dim 2 != model dim 1$"):
             brute_force_min_time(model, UNIT_BOUNDS, x_start=[0.0, 0.0])
         box = ControlBounds(lower=[-1.0, -1.0], upper=[1.0, 1.0])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"^bounds dim 2 != model input dim 1$"):
             brute_force_min_time(model, box, x_start=[0.0])
 
 
