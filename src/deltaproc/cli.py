@@ -282,9 +282,13 @@ def cmd_fit(settings):
     return EXIT_OK
 
 
-def cmd_solve(settings):
+def _solve(settings):
     record = _load_record(settings, dense=False)
-    solution = solve_partition(record, _partition(record, settings), _bounds(settings))
+    return solve_partition(record, _partition(record, settings), _bounds(settings))
+
+
+def cmd_solve(settings):
+    solution = _solve(settings)
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_model_csv(out / "model.csv", solution.model)
@@ -323,11 +327,8 @@ def cmd_demo(name):
         print(f"unknown benchmark case {name!r}; choices: {sorted(BENCHMARK_CASES)}", file=sys.stderr)
         return EXIT_INVALID
     case = BENCHMARK_CASES[name]
-    problem = example1()
-    record = sample_reference(problem, case.u_data, case.checkpoints)
-    partition = TimePartition(record.t)
-    bounds = problem.bounds
-    solution = solve_partition(record, partition, bounds)
+    # the settings of `solve --problem NAME`; demo reads no config file
+    solution = _solve(resolve_settings(argparse.Namespace(config=None, problem=name)))
     diff = abs(solution.total_time - case.reported_total)
     flag = "MISMATCH" if diff > DEMO_FLAG_TOL else "ok"
     _report(f"{'case':<18}{'computed':>12}{'reference':>12}{'|diff|':>10}  status")

@@ -260,8 +260,9 @@ class ControlSchedule:
 class Trajectory:
     """Sampled time series: times, states, controls and optional derivatives.
 
-    States, controls and derivatives are (samples, dim) arrays, one row per
-    sample time; a 1-D input is read as one column.  Any other shape raises
+    Times are 1-D.  States, controls and derivatives are (samples, dim)
+    arrays, one row per sample time; a 1-D input is read as one column, and
+    derivatives have the states' shape.  Any other shape raises
     :class:`DimensionMismatchError` naming the field.  Values between samples
     are interpolated linearly, per component.
     """
@@ -273,6 +274,8 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
+        if t.ndim != 1:
+            raise DimensionMismatchError(f"t must be 1-D, got shape {t.shape}")
         object.__setattr__(self, "t", t)
         for name in ("x", "u", "dx"):
             values = getattr(self, name)
@@ -286,6 +289,8 @@ class Trajectory:
                     f"{name} needs one row per sample time ({t.size}), got shape {values.shape}"
                 )
             object.__setattr__(self, name, values)
+        if self.dx is not None and self.dx.shape != self.x.shape:
+            raise DimensionMismatchError(f"dx shape {self.dx.shape} != x shape {self.x.shape}")
 
     @property
     def n(self):

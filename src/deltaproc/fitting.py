@@ -401,9 +401,21 @@ def _value_columns(n, r, has_dx):
 
 
 def write_trajectories(path, records):
-    """Inverse of :func:`ingest_trajectories` (always writes the dx columns)."""
+    """Inverse of :func:`ingest_trajectories` (always writes the dx columns).
+
+    Raises ``ValueError`` before the file is opened when there are no
+    records or when a record's (n, r) differs from the first record's.
+    """
     recs = [estimate_derivatives(rec) if rec.dx is None else rec for rec in records]
+    if not recs:
+        raise ValueError("no records to write")
     n, r = recs[0].n, recs[0].r
+    for rec in recs:
+        if (rec.n, rec.r) != (n, r):
+            raise ValueError(
+                f"record {rec.id!r} has (n, r) = ({rec.n}, {rec.r}) "
+                f"but the first record has ({n}, {r})"
+            )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["traj_id", "label", "t", *_value_columns(n, r, True)])

@@ -294,37 +294,37 @@ def min_time_transfer(
     x_from = check_state(x_from, piece, "x_from")
     check_input(bounds.r, piece, "bounds")
     if np.linalg.norm(x_from - piece.anchor) <= ZERO_STATE_TOL:
-        return PieceSolution(
-            u_schedule=None, transfer_time=0.0, hamiltonian=0.0, psi0=AdjointState(np.eye(piece.n)[0])
-        )
-    if piece.n == 1:
-        return _scalar_transfer(piece, x_from, bounds)
-    return _shooting_transfer(piece, x_from, bounds)
-
-
-def _scalar_transfer(piece, x_from, bounds):
-    (t,), (u_star,), (psi0,), (h,) = scalar_transfers(
-        piece.A[0], piece.B, x_from, piece.anchor, bounds
-    )
-    if np.isnan(t):
-        drives = {
-            ray: float(piece.B[0] @ extremal_control(piece, np.array([ray]), bounds))
-            for ray in (1.0, -1.0)
-        }
-        diagnostics = [
-            f"costate ray {ray:+g}: drive {drive:g} cannot reach target"
-            for ray, drive in drives.items()
-        ]
-        raise InfeasibleTransferError(
-            f"no vertex control transfers x={float(x_from[0]):g} to {float(piece.anchor[0]):g} "
-            f"(a={float(piece.A[0, 0]):g}, B={piece.B.ravel()}): " + "; ".join(diagnostics)
-        )
+        vertices, durations, psi0, h = (), (), np.eye(piece.n)[0], 0.0
+    elif piece.n == 1:
+        (t,), u, psi0, (h,) = scalar_transfers(piece.A[0], piece.B, x_from, piece.anchor, bounds)
+        if np.isnan(t):
+            why = unreachable_message(piece.A[0, 0], piece.B[0], x_from[0], piece.anchor[0], bounds)
+            raise InfeasibleTransferError(why)
+        vertices, durations = u, (t,)
+    else:
+        vertices, durations, psi0, h = _shooting_transfer(piece, x_from, bounds)
+    # arc i holds vertices[i] from knots[i] to knots[i + 1] on the piece's own clock
+    knots = np.cumsum(np.r_[0.0, durations])
+    arcs = tuple(zip(knots[:-1], knots[1:], vertices))
     return PieceSolution(
-        u_schedule=ControlSchedule.constant(u_star, 0.0, float(t)),
-        transfer_time=float(t),
+        u_schedule=ControlSchedule(arcs) if arcs else None,
+        transfer_time=float(knots[-1]),
         hamiltonian=float(h),
-        psi0=AdjointState(psi=np.array([psi0])),
+        psi0=AdjointState(psi=psi0),
     )
+
+
+def unreachable_message(a, b, x0, xf, bounds):
+    """Why no vertex control moves the scalar row dx/dt = a x + b u from x0 to xf.
+
+    ``b`` holds the row's r gains; each costate ray psi0 = +1, -1 drives with
+    the vertex control that maximises psi0 b u.
+    """
+    rays = []
+    for ray in (1.0, -1.0):
+        drive = float(b @ np.where(b * ray < 0.0, bounds.lower, bounds.upper))
+        rays.append(f"costate ray {ray:+g}: drive {drive:g} cannot reach target")
+    return f"no vertex control transfers x={x0:g} to {xf:g} (a={a:g}, B={b}): " + "; ".join(rays)
 
 
 def scalar_transfers(a, B, x0, xf, bounds):
@@ -612,6 +612,7 @@ def _seeds(bounds, misses, times, controls, h, max_switches):
 
 
 def _shooting_transfer(piece, x_from, bounds):
+    """The arcs (vertices, durations), unit psi0 and H of the least certified transfer."""
     n = piece.n
     scale = max(np.linalg.norm(piece.A, 2), 1e-6)
     dist = np.linalg.norm(x_from - piece.anchor)
@@ -665,10 +666,4 @@ def _shooting_transfer(piece, x_from, bounds):
             best_residual=miss,
         )
     _, vertices, durations, psi0 = best
-    ends = np.cumsum(durations)
-    return PieceSolution(
-        u_schedule=ControlSchedule(tuple(zip(np.r_[0.0, ends[:-1]], ends, vertices))),
-        transfer_time=float(ends[-1]),
-        hamiltonian=hamiltonian(piece, psi0, x_from, vertices[0]),
-        psi0=AdjointState(psi=psi0),
-    )
+    return vertices, durations, psi0, hamiltonian(piece, psi0, x_from, vertices[0])

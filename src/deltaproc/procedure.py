@@ -17,9 +17,10 @@ import numpy as np
 
 from .dynamics import ControlBounds, ControlSchedule, PiecewiseLinearModel, TimePartition
 from .dynamics import check_input
-from .errors import DeltaProcError
+from .errors import DeltaProcError, InfeasibleTransferError
 from .fitting import TrajectoryRecord, fit_model
 from .pontryagin import AdjointState, PieceSolution, min_time_transfer, scalar_transfers
+from .pontryagin import unreachable_message
 
 REFINE_DOUBLE = "double"
 REFINE_INCREMENT = "increment"
@@ -149,47 +150,38 @@ def solve_partition(
     transfer solver are annotated with the piece index.  A control box whose
     width is not the model's input width raises
     :class:`DimensionMismatchError` before any piece is solved.  A scalar
-    model is solved in one closed-form pass over all its pieces.
+    model is solved in one closed-form pass over all its pieces, and the
+    first piece that pass cannot reach raises
+    :class:`InfeasibleTransferError` from the same arrays.
     """
     model = fit_model(record, partition)
     check_input(bounds.r, model, "bounds")
     # piece k starts at the record's first state (k = 0) or at anchor k - 1
     x0 = np.vstack([record.interp_state(partition.t0), model.anchors[:-1]])
     if model.n == 1:
-        return _scalar_level(model, x0, bounds)
-    pieces = zip(model.pieces, x0)
-    solutions = [_transfer(k, piece, x_from, bounds) for k, (piece, x_from) in enumerate(pieces)]
-    segments = [
-        (k, a, b, *u)
-        for k, sol in enumerate(solutions)
-        if not sol.is_trivial
-        for (a, b, u) in sol.u_schedule.segments
-    ]
+        a, b, xf = model.A[:, 0, 0], model.B[:, 0], model.anchors[:, 0]
+        T, u, psi, H = scalar_transfers(a, b, x0[:, 0], xf, bounds)
+        if np.isnan(T).any():
+            k = int(np.isnan(T).argmax())  # the first piece that neither ray reaches
+            why = unreachable_message(a[k], b[k], x0[k, 0], xf[k], bounds)
+            raise InfeasibleTransferError(f"piece {k}: {why}")
+        moves = np.flatnonzero(T > 0.0)
+        segments = np.column_stack([moves, np.zeros(moves.size), T[moves], u[moves]])
+        psi = psi[:, None]
+    else:
+        solutions = [_transfer(k, *args, bounds) for k, args in enumerate(zip(model.pieces, x0))]
+        T = np.array([sol.transfer_time for sol in solutions])
+        H = np.array([sol.hamiltonian for sol in solutions])
+        psi = np.array([sol.psi0.psi for sol in solutions])
+        segments = [
+            (k, a, b, *u)
+            for k, sol in enumerate(solutions)
+            if not sol.is_trivial
+            for (a, b, u) in sol.u_schedule.segments
+        ]
     return PartitionSolution(
-        model=model,
-        x_start=x0[0],
-        transfer_times=np.array([sol.transfer_time for sol in solutions]),
-        hamiltonians=np.array([sol.hamiltonian for sol in solutions]),
-        psi0=np.array([sol.psi0.psi for sol in solutions]),
+        model=model, x_start=x0[0], transfer_times=T, hamiltonians=H, psi0=psi,
         segments=np.array(segments, dtype=float).reshape(-1, 3 + bounds.r),
-    )
-
-
-def _scalar_level(model, x0, bounds):
-    """All transfers of a scalar model from the states ``x0`` (N, 1), in one pass."""
-    T, u, psi, H = scalar_transfers(
-        model.A[:, 0, 0], model.B[:, 0], x0[:, 0], model.anchors[:, 0], bounds
-    )
-    unreachable = np.flatnonzero(np.isnan(T))
-    if unreachable.size:
-        k = int(unreachable[0])
-        # raises the piece's own InfeasibleTransferError
-        _transfer(k, model.pieces[k], x0[k], bounds)
-    moves = np.flatnonzero(T > 0.0)
-    segments = np.column_stack([moves, np.zeros(moves.size), T[moves], u[moves]])
-    return PartitionSolution(
-        model=model, x_start=x0[0], transfer_times=T, hamiltonians=H, psi0=psi[:, None],
-        segments=segments,
     )
 
 

@@ -412,6 +412,16 @@ class TestTrajectory:
         with pytest.raises(DimensionMismatchError, match=r"^u needs one row per sample time \(2\)"):
             Trajectory([0.0, 1.0], [[1.0, 2.0], [10.0, 20.0]], [[0.0, 0.0]])
 
+    def test_times_of_two_axes_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"^t must be 1-D, got shape \(1, 3\)$"):
+            Trajectory([[0.0, 1.0, 2.0]], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+
+    def test_derivatives_of_another_width_rejected(self):
+        traj = self.random_trajectory()
+        message = r"^dx shape \(40, 1\) != x shape \(40, 2\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            Trajectory(traj.t, traj.x, traj.u, dx=traj.dx[:, 0])
+
     def test_no_derivatives(self):
         traj = Trajectory([0.0, 1.0], [0.0, 1.0], [1.0, 1.0])
         assert traj.dx is None

@@ -713,6 +713,24 @@ class TestIngest:
         np.testing.assert_allclose(back.x, rec.x)
         np.testing.assert_allclose(back.dx, rec.dx)
 
+    def test_write_no_records_rejected(self, tmp_path):
+        path = tmp_path / "none.csv"
+        with pytest.raises(ValueError, match="^no records to write$"):
+            write_trajectories(path, [])
+        assert not path.exists()
+
+    def test_write_records_of_other_widths_rejected(self, tmp_path):
+        t = np.linspace(0.0, 1.0, 5)
+        first = scalar_record(t, t, [0.5] * 5, rec_id="a")
+        wide = TrajectoryRecord(
+            id="b", label=POSITIVE, t=t, x=np.column_stack([t, t]), u=np.zeros((5, 2))
+        )
+        path = tmp_path / "mixed.csv"
+        message = r"^record 'b' has \(n, r\) = \(2, 2\) but the first record has \(1, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            write_trajectories(path, [first, wide])
+        assert not path.exists()
+
     def test_three_row_csv(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text(

@@ -77,6 +77,11 @@ class TestSolvePartition:
         sol = solve_partition(record, TimePartition(record.t), problem.bounds)
         result = run_delta(dense, DeltaConfig(delta=0.05, bounds=problem.bounds))
         assert (sol.transfer_times.size, len(result.trace), built) == (7, 2, [])
+        # an unreachable piece is named from the level's arrays too
+        narrow = ControlBounds(lower=[-2.0], upper=[-1.0])
+        with pytest.raises(InfeasibleTransferError, match="^piece 0: no vertex control"):
+            solve_partition(record, TimePartition(record.t), narrow)
+        assert built == []
         # the model's piece view is where they are built, when read
         assert len(sol.model.pieces) == len(built) == 7
 
